@@ -695,21 +695,60 @@ class APIServer {
   MetricsRegistry::Registration metrics_reg_;
 };
 
-// Read-modify-write loop: fetch ns/name, apply fn, Update; retry on Conflict.
-// fn returns false to abort (object already in desired state).
+namespace detail {
+
+// Default conflict budget of the writers below: writes tried before they give
+// up with Aborted.
+inline constexpr int kWriteAttempts = 10;
+
+// One write through the main resource ("update") or the status subresource
+// ("update-status"); both CAS on obj.meta.resource_version.
+template <typename T>
+Result<T> Write(APIServer& server, T obj, bool status, const RequestContext& ctx) {
+  return status ? server.UpdateStatus<T>(std::move(obj), ctx)
+                : server.Update<T>(std::move(obj), ctx);
+}
+
 template <typename T, typename Fn>
-Status RetryUpdate(APIServer& server, const std::string& ns, const std::string& name, Fn fn,
-                   const RequestContext& ctx = RequestContext::Loopback(),
-                   int max_attempts = 10) {
+Status RetryWrite(APIServer& server, const std::string& ns, const std::string& name,
+                  Fn& fn, bool status, const RequestContext& ctx, int max_attempts) {
   for (int i = 0; i < max_attempts; ++i) {
     Result<T> obj = server.Get<T>(ns, name, ctx);
     if (!obj.ok()) return obj.status();
     if (!fn(*obj)) return OkStatus();
-    Result<T> updated = server.Update<T>(std::move(*obj), ctx);
+    Result<T> updated = Write(server, std::move(*obj), status, ctx);
     if (updated.ok()) return OkStatus();
     if (!updated.status().IsConflict()) return updated.status();
   }
-  return AbortedError("RetryUpdate: conflict budget exhausted for " + ns + "/" + name);
+  return AbortedError(std::string(status ? "RetryUpdateStatus" : "RetryUpdate") +
+                      ": conflict budget exhausted for " + ns + "/" + name);
+}
+
+// The CAS on the cached copy is the first of kWriteAttempts writes.
+template <typename T, typename Fn>
+Status WriteFrom(APIServer& server, const T& cached, Fn& fn, bool status,
+                 const RequestContext& ctx) {
+  T copy = cached;
+  if (!fn(copy)) return OkStatus();
+  Result<T> updated = Write(server, std::move(copy), status, ctx);
+  if (!updated.status().IsConflict()) return updated.status();
+  return RetryWrite<T>(server, cached.meta.ns, cached.meta.name, fn, status, ctx,
+                       kWriteAttempts - 1);
+}
+
+}  // namespace detail
+
+// Read-modify-write loop: fetch ns/name, apply fn, Update; retry on Conflict.
+// fn returns false to abort (object already in desired state). fn may run
+// more than once, so it must reset anything it reports out on each call.
+// A caller that already holds the object in an informer cache should use
+// UpdateFrom instead: it skips the Get, which blocks until the server's watch
+// cache has caught up with the store.
+template <typename T, typename Fn>
+Status RetryUpdate(APIServer& server, const std::string& ns, const std::string& name, Fn fn,
+                   const RequestContext& ctx = RequestContext::Loopback(),
+                   int max_attempts = detail::kWriteAttempts) {
+  return detail::RetryWrite<T>(server, ns, name, fn, /*status=*/false, ctx, max_attempts);
 }
 
 // Status-subresource variant of RetryUpdate: writes through UpdateStatus so a
@@ -718,17 +757,27 @@ Status RetryUpdate(APIServer& server, const std::string& ns, const std::string& 
 template <typename T, typename Fn>
 Status RetryUpdateStatus(APIServer& server, const std::string& ns, const std::string& name,
                          Fn fn, const RequestContext& ctx = RequestContext::Loopback(),
-                         int max_attempts = 10) {
-  for (int i = 0; i < max_attempts; ++i) {
-    Result<T> obj = server.Get<T>(ns, name, ctx);
-    if (!obj.ok()) return obj.status();
-    if (!fn(*obj)) return OkStatus();
-    Result<T> updated = server.UpdateStatus<T>(std::move(*obj), ctx);
-    if (updated.ok()) return OkStatus();
-    if (!updated.status().IsConflict()) return updated.status();
-  }
-  return AbortedError("RetryUpdateStatus: conflict budget exhausted for " + ns + "/" +
-                      name);
+                         int max_attempts = detail::kWriteAttempts) {
+  return detail::RetryWrite<T>(server, ns, name, fn, /*status=*/true, ctx, max_attempts);
+}
+
+// Read-free RetryUpdate for a caller holding `cached` (an informer copy):
+// applies fn to a copy of it and writes with a CAS on its resourceVersion.
+// Only on Conflict does it fall back to RetryUpdate, which re-reads and
+// re-runs fn against the live object. fn returning false on the cached copy
+// is final, so the caller must be re-triggered by any newer version of the
+// object (DESIGN.md §8.1).
+template <typename T, typename Fn>
+Status UpdateFrom(APIServer& server, const T& cached, Fn fn,
+                  const RequestContext& ctx = RequestContext::Loopback()) {
+  return detail::WriteFrom(server, cached, fn, /*status=*/false, ctx);
+}
+
+// Status-subresource variant of UpdateFrom (RBAC verb "update-status").
+template <typename T, typename Fn>
+Status UpdateStatusFrom(APIServer& server, const T& cached, Fn fn,
+                        const RequestContext& ctx = RequestContext::Loopback()) {
+  return detail::WriteFrom(server, cached, fn, /*status=*/true, ctx);
 }
 
 }  // namespace vc::apiserver

@@ -336,6 +336,20 @@ class WatchCache {
       std::lock_guard<std::mutex> l(strand_mu_);
       stopping_ = true;
     }
+    CancelWatch();
+    BlockingRegion blocking;  // the apply strand may need a pool slot to finish
+    {
+      std::unique_lock<std::mutex> l(strand_mu_);
+      strand_cv_.wait(l, [this] { return !scheduled_ && !running_; });
+    }
+    // An apply already running when stopping_ was set may have found its
+    // watch broken (Restart/BreakWatches) and Rebuilt a fresh one after the
+    // cancel above, with a signal into `this`. The strand is quiescent now,
+    // so cancel whatever it left before the cache is destroyed.
+    CancelWatch();
+  }
+
+  void CancelWatch() {
     std::shared_ptr<kv::WatchChannel> w;
     {
       std::lock_guard<std::mutex> l(mu_);
@@ -347,9 +361,6 @@ class WatchCache {
       w->Cancel();
     }
     cv_.notify_all();
-    BlockingRegion blocking;  // the apply strand may need a pool slot to finish
-    std::unique_lock<std::mutex> l(strand_mu_);
-    strand_cv_.wait(l, [this] { return !scheduled_ && !running_; });
   }
 
   kv::KvStore* store_;

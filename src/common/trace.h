@@ -183,7 +183,7 @@ inline void EmitAt(Component c, Verb v, uint64_t trace_id, int64_t revision,
                std::memory_order_relaxed);
   uint64_t kw[3] = {0, 0, 0};
   const size_t n = key.size() < kKeyBytes ? key.size() : kKeyBytes;
-  std::memcpy(kw, key.data() + (key.size() - n), n);
+  if (n != 0) std::memcpy(kw, key.data() + (key.size() - n), n);  // data() may be null
   s.w[5].store(kw[0], std::memory_order_relaxed);
   s.w[6].store(kw[1], std::memory_order_relaxed);
   s.w[7].store(kw[2], std::memory_order_relaxed);

@@ -269,13 +269,14 @@ Status Kubelet::StartPod(const api::Pod& pod) {
   }
 
   // Report Running/Ready. Status-only write: goes through the /status
-  // subresource (RBAC verb "update-status"), like the real kubelet.
+  // subresource (RBAC verb "update-status"), like the real kubelet. `pod` is
+  // the informer's copy, so the write is a CAS on it with no Get first.
   const int64_t now_ms = opts_.clock->WallUnixMillis();
   const apiserver::RequestContext ctx = apiserver::RequestContext::System("kubelet");
   trace::Emit(trace::Component::kKubelet, trace::Verb::kStatusWrite,
               trace::CurrentTraceId(), 0, pod.meta.ns + "/" + pod.meta.name);
-  Status st = apiserver::RetryUpdateStatus<api::Pod>(
-      *opts_.server, pod.meta.ns, pod.meta.name, [&](api::Pod& live) {
+  Status st = apiserver::UpdateStatusFrom(
+      *opts_.server, pod, [&](api::Pod& live) {
         if (live.meta.uid != pod.meta.uid) return false;
         live.status.phase = api::PodPhase::kRunning;
         live.status.pod_ip = sandbox->ip;

@@ -14,10 +14,11 @@
 
 namespace vc::scheduler {
 
-// Snapshot of one node plus everything already placed on it, built per
-// scheduling cycle from the informer caches (the O(pods) construction cost is
-// the real scheduler's too, and is what bends the baseline throughput curve
-// in Fig. 9(b)).
+// Snapshot of one node plus the residents a filter must see, built per
+// scheduling cycle from the scheduler's assignment cache. `pods` holds every
+// resident only when the incoming Pod has affinity terms; otherwise just the
+// residents with anti-affinity terms (symmetry). The baseline throughput
+// curve of Fig. 9(b) bends through CostModel::per_resident_pod, not here.
 struct NodeInfo {
   std::shared_ptr<const api::Node> node;
   std::vector<std::shared_ptr<const api::Pod>> pods;  // pods bound here

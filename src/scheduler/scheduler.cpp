@@ -1,6 +1,7 @@
 #include "scheduler/scheduler.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.h"
 
@@ -94,13 +95,15 @@ void Scheduler::ObservePod(const PodPtr& old_pod, const PodPtr& new_pod) {
       if (pit != it->second.pods.end()) {
         it->second.requested -= pit->second->spec.TotalRequests();
         it->second.pods.erase(pit);
+        it->second.anti_affine.erase(old_pod->meta.FullName());
         assigned_count_--;
       }
     }
   }
   if (assigned(new_pod)) {
+    const std::string key = new_pod->meta.FullName();
     NodeState& state = assignments_[new_pod->spec.node_name];
-    auto [pit, inserted] = state.pods.try_emplace(new_pod->meta.FullName(), new_pod);
+    auto [pit, inserted] = state.pods.try_emplace(key, new_pod);
     if (inserted) {
       state.requested += new_pod->spec.TotalRequests();
       assigned_count_++;
@@ -109,6 +112,11 @@ void Scheduler::ObservePod(const PodPtr& old_pod, const PodPtr& new_pod) {
       state.requested -= pit->second->spec.TotalRequests();
       pit->second = new_pod;
       state.requested += new_pod->spec.TotalRequests();
+    }
+    if (new_pod->spec.required_anti_affinity.empty()) {
+      state.anti_affine.erase(key);
+    } else {
+      state.anti_affine.insert_or_assign(key, new_pod);
     }
   }
 }
@@ -143,18 +151,11 @@ bool Scheduler::ScheduleOne(const std::string& key) {
       auto it = assignments_.find(node->meta.name);
       if (it != assignments_.end()) {
         info.requested = it->second.requested;
-        // Resident pods are only materialized when (anti-)affinity must be
-        // evaluated; symmetric anti-affinity additionally requires scanning
-        // residents that carry terms, so we include all residents whenever
-        // any filtering on them is possible.
-        if (full_scan) {
-          info.pods.reserve(it->second.pods.size());
-          for (const auto& [k, p] : it->second.pods) info.pods.push_back(p);
-        } else {
-          for (const auto& [k, p] : it->second.pods) {
-            if (!p->spec.required_anti_affinity.empty()) info.pods.push_back(p);
-          }
-        }
+        // The incoming pod's own terms need every resident; symmetric
+        // anti-affinity needs only the residents that carry terms.
+        const auto& residents = full_scan ? it->second.pods : it->second.anti_affine;
+        info.pods.reserve(residents.size());
+        for (const auto& [k, p] : residents) info.pods.push_back(p);
       }
       std::string reason = FilterNode(*pod, info);
       if (!reason.empty()) {
@@ -177,16 +178,21 @@ bool Scheduler::ScheduleOne(const std::string& key) {
   }
 
   const std::string node_name = best->meta.name;
-  bool bound = false;
+  // The Pod as bound: the informer copy, or the live object the conflict
+  // fallback re-read, which may differ from it (e.g. in its affinity terms).
+  std::optional<api::Pod> bound;
   const apiserver::RequestContext ctx = apiserver::RequestContext::System("scheduler");
-  Status st = apiserver::RetryUpdate<api::Pod>(
-      *opts_.server, pod->meta.ns, pod->meta.name,
+  // The informer copy passed NeedsScheduling above; bind by CAS on it. A
+  // conflict means another writer got there first, and the fallback re-reads.
+  Status st = apiserver::UpdateFrom(
+      *opts_.server, *pod,
       [&](api::Pod& live) {
+        bound.reset();
         if (!live.spec.node_name.empty() || live.meta.deleting()) return false;
         live.spec.node_name = node_name;
         live.status.SetCondition(api::kPodScheduled, true,
                                  opts_.clock->WallUnixMillis(), "Scheduled");
-        bound = true;
+        bound = live;
         return true;
       },
       ctx);
@@ -200,9 +206,7 @@ bool Scheduler::ScheduleOne(const std::string& key) {
     // Assume the bind immediately (like the real scheduler's assume cache)
     // so back-to-back cycles see up-to-date occupancy before the informer
     // echo arrives.
-    api::Pod assumed = *pod;
-    assumed.spec.node_name = node_name;
-    ObservePod(pod, std::make_shared<const api::Pod>(assumed));
+    ObservePod(pod, std::make_shared<const api::Pod>(std::move(*bound)));
     scheduled_.fetch_add(1);
     bind_latency_.Record(cycle.Elapsed());
   }

@@ -5,13 +5,15 @@
 // seen the scheduler throughput peaked at a few hundred Pods per second").
 //
 // Like the real scheduler it keeps an incrementally-maintained cache of node
-// assignments (not a per-cycle rebuild); the per-cycle service time is
-// modeled as
+// assignments (not a per-cycle rebuild), with a per-node index of residents
+// that carry required anti-affinity terms, so a Pod without affinity terms
+// filters in O(nodes). The occupancy cost that bends the baseline throughput
+// curve of Fig. 9(b) is modeled, not incurred: each cycle sleeps
 //     base + per_node_filter * #nodes + per_resident_pod * #assigned_pods
-// which reproduces the real scheduler's cost growth with cluster occupancy
-// (the declining baseline curve of Fig. 9(b)). CostModel defaults are
-// calibrated so a 100-node super cluster peaks at a few hundred binds/s
-// (see EXPERIMENTS.md §Calibration).
+// CostModel defaults are calibrated so a 100-node super cluster peaks at a
+// few hundred binds/s (see EXPERIMENTS.md §Calibration). The bind writes by
+// CAS on the informer's copy of the Pod (apiserver::UpdateFrom), not by a
+// fresh Get.
 #pragma once
 
 #include <atomic>
@@ -66,6 +68,9 @@ class Scheduler {
 
   struct NodeState {
     std::map<std::string, PodPtr> pods;  // key = pod FullName
+    // The residents of `pods` with required anti-affinity terms: the only
+    // ones a Pod without affinity terms must be filtered against.
+    std::map<std::string, PodPtr> anti_affine;
     api::ResourceList requested;
   };
 

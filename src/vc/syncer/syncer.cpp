@@ -258,6 +258,22 @@ void Syncer::AttachTenant(const VirtualClusterObj& vc, TenantControlPlane* tcp) 
       InformerOptions<api::PersistentVolumeClaim>());
 
   WireTenantHandlers(*ts, ts->pods.get());
+  // Upward sync judges "no change" on this informer's copy of the tenant
+  // Pod, so a newer tenant version whose status or nodeName moved must re-run
+  // it (DESIGN.md §8.1) — e.g. a foreign status write that diverges from the
+  // shadow is reverted without waiting for a periodic scan.
+  {
+    client::EventHandlers<api::Pod> up;
+    up.on_update = [this, map = ts->map](const api::Pod& old_pod, const api::Pod& new_pod) {
+      if (old_pod.status == new_pod.status &&
+          old_pod.spec.node_name == new_pod.spec.node_name) {
+        return;
+      }
+      upward_->Enqueue(map.tenant_id,
+                       "Pod|" + map.SuperNamespace(new_pod.meta.ns) + "/" + new_pod.meta.name);
+    };
+    ts->pods->AddHandlers(std::move(up));
+  }
   WireTenantHandlers(*ts, ts->namespaces.get());
   WireTenantHandlers(*ts, ts->services.get());
   WireTenantHandlers(*ts, ts->secrets.get());
@@ -773,34 +789,42 @@ Syncer::UpOutcome Syncer::SyncUpPod(const client::FairQueue::Item& item) {
 
   bool wrote = false;
   bool became_ready = false;
+  auto sync = [&](api::Pod& tp) {
+    wrote = became_ready = false;
+    if (!origin->tenant_uid.empty() && tp.meta.uid != origin->tenant_uid) {
+      return false;  // tenant pod was recreated; stale shadow
+    }
+    bool changed = false;
+    if (!super_pod->spec.node_name.empty() &&
+        tp.spec.node_name != super_pod->spec.node_name) {
+      tp.spec.node_name = super_pod->spec.node_name;
+      changed = true;
+    }
+    if (!(tp.status == super_pod->status)) {
+      const bool was_ready = tp.status.Ready();
+      tp.status = super_pod->status;
+      if (!was_ready && tp.status.Ready()) {
+        tp.meta.annotations[kReadyAtAnnotation] =
+            std::to_string(opts_.clock->WallUnixMillis());
+        became_ready = true;
+      }
+      changed = true;
+    }
+    wrote = changed;
+    return changed;
+  };
+  // Write by CAS on the tenant informer's copy: no Get, which would block on
+  // the tenant apiserver's watch cache (and build one nothing else reads).
+  // The tenant Pod handler in AttachTenant re-triggers this reconcile for
+  // every newer tenant version whose status or nodeName differs, so a "no
+  // change" verdict on a stale copy is never final.
   const apiserver::RequestContext ctx =
       apiserver::RequestContext::System("syncer-upward");
-  Status st = apiserver::RetryUpdate<api::Pod>(
-      ts->tcp->server(), origin->tenant_ns, super_pod->meta.name,
-      [&](api::Pod& tp) {
-        if (!origin->tenant_uid.empty() && tp.meta.uid != origin->tenant_uid) {
-          return false;  // tenant pod was recreated; stale shadow
-        }
-        bool changed = false;
-        if (!super_pod->spec.node_name.empty() &&
-            tp.spec.node_name != super_pod->spec.node_name) {
-          tp.spec.node_name = super_pod->spec.node_name;
-          changed = true;
-        }
-        if (!(tp.status == super_pod->status)) {
-          const bool was_ready = tp.status.Ready();
-          tp.status = super_pod->status;
-          if (!was_ready && tp.status.Ready()) {
-            tp.meta.annotations[kReadyAtAnnotation] =
-                std::to_string(opts_.clock->WallUnixMillis());
-            became_ready = true;
-          }
-          changed = true;
-        }
-        wrote = changed;
-        return changed;
-      },
-      ctx);
+  apiserver::APIServer& tenant_server = ts->tcp->server();
+  auto cached = ts->pods->cache().GetByKey(tenant_pod_key);
+  Status st = cached ? apiserver::UpdateFrom(tenant_server, *cached, sync, ctx)
+                     : apiserver::RetryUpdate<api::Pod>(tenant_server, origin->tenant_ns,
+                                                        super_pod->meta.name, sync, ctx);
   if (!st.ok()) {
     if (st.IsNotFound()) {
       // Tenant deleted the pod while its status update was in flight — the

@@ -121,6 +121,79 @@ TEST(ApiServerTest, RetryUpdateResolvesConflicts) {
   EXPECT_EQ(final->meta.annotations.size(), 8u);
 }
 
+TEST(ApiServerTest, UpdateFromFreshCopyWritesWithoutGet) {
+  auto s = NewServer();
+  Result<Pod> cached = s->Create(SimplePod("default", "web-0"));
+  ASSERT_TRUE(cached.ok());
+  const uint64_t gets = s->stats().gets.load();
+  const uint64_t updates = s->stats().updates.load();
+  Status st = UpdateFrom(*s, *cached, [](Pod& pod) {
+    pod.meta.annotations["mine"] = "1";
+    return true;
+  });
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(s->stats().gets.load(), gets);
+  EXPECT_EQ(s->stats().updates.load(), updates + 1);
+  EXPECT_EQ(s->stats().conflicts.load(), 0u);
+  EXPECT_EQ(s->Get<Pod>("default", "web-0")->meta.annotations.count("mine"), 1u);
+}
+
+TEST(ApiServerTest, UpdateFromStaleCopyReevaluatesOnLiveObject) {
+  auto s = NewServer();
+  Result<Pod> cached = s->Create(SimplePod("default", "web-0"));
+  ASSERT_TRUE(cached.ok());
+  Pod other = *cached;
+  other.meta.annotations["other"] = "1";
+  ASSERT_TRUE(s->Update(other).ok());
+
+  const uint64_t gets = s->stats().gets.load();
+  std::vector<bool> saw_other;
+  Status st = UpdateFrom(*s, *cached, [&](Pod& pod) {
+    saw_other.push_back(pod.meta.annotations.count("other") == 1);
+    pod.meta.annotations["mine"] = "1";
+    return true;
+  });
+  ASSERT_TRUE(st.ok()) << st;
+  // First on the stale copy (Conflict), then once on the re-read live object.
+  EXPECT_EQ(saw_other, (std::vector<bool>{false, true}));
+  EXPECT_EQ(s->stats().gets.load(), gets + 1);
+  EXPECT_EQ(s->stats().conflicts.load(), 1u);
+  Result<Pod> final = s->Get<Pod>("default", "web-0");
+  EXPECT_EQ(final->meta.annotations.count("other"), 1u);
+  EXPECT_EQ(final->meta.annotations.count("mine"), 1u);
+}
+
+TEST(ApiServerTest, UpdateFromNoChangeWritesNothing) {
+  auto s = NewServer();
+  Result<Pod> cached = s->Create(SimplePod("default", "web-0"));
+  ASSERT_TRUE(cached.ok());
+  const uint64_t gets = s->stats().gets.load();
+  const uint64_t updates = s->stats().updates.load();
+  EXPECT_TRUE(UpdateFrom(*s, *cached, [](Pod&) { return false; }).ok());
+  EXPECT_TRUE(UpdateStatusFrom(*s, *cached, [](Pod&) { return false; }).ok());
+  EXPECT_EQ(s->stats().gets.load(), gets);
+  EXPECT_EQ(s->stats().updates.load(), updates);
+  EXPECT_EQ(s->Get<Pod>("default", "web-0")->meta.resource_version,
+            cached->meta.resource_version);
+}
+
+TEST(ApiServerTest, UpdateStatusFromAuthorizesAsUpdateStatus) {
+  auto s = NewServer();
+  Result<Pod> cached = s->Create(SimplePod("default", "web-0"));
+  ASSERT_TRUE(cached.ok());
+  s->authorizer().Grant("node-agent", PolicyRule{{"update-status"}, {"Pod"}, {"default"}});
+  RequestContext agent;
+  agent.identity = Identity{"node-agent", {}, ""};
+  auto set_running = [](Pod& pod) {
+    pod.status.phase = api::PodPhase::kRunning;
+    return true;
+  };
+  EXPECT_EQ(UpdateFrom(*s, *cached, set_running, agent).code(), Code::kForbidden);
+  Status st = UpdateStatusFrom(*s, *cached, set_running, agent);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(s->Get<Pod>("default", "web-0")->status.phase, api::PodPhase::kRunning);
+}
+
 TEST(ApiServerTest, ListScoping) {
   auto s = NewServer();
   NamespaceObj ns;

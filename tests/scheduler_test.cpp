@@ -159,13 +159,16 @@ TEST(PredicatesTest, ScorePrefersEmptierNodes) {
 // ------------------------------------------------------------- scheduler
 
 struct SchedulerHarness {
-  explicit SchedulerHarness(int nodes, CostModel cost = FastCost()) : server({}) {
+  explicit SchedulerHarness(int nodes, CostModel cost = FastCost(),
+                            Clock* clock = RealClock::Get())
+      : server({}) {
     for (int i = 0; i < nodes; ++i) {
       EXPECT_TRUE(server.Create(MakeNode("node-" + std::to_string(i))).ok());
     }
     Scheduler::Options opts;
     opts.server = &server;
     opts.cost = cost;
+    opts.clock = clock;
     sched = std::make_unique<Scheduler>(std::move(opts));
     sched->Start();
     EXPECT_TRUE(sched->WaitForSync(Seconds(5)));
@@ -349,6 +352,188 @@ TEST(SchedulerTest, AssignedPodCacheTracksLifecycle) {
     RealClock::Get()->SleepFor(Millis(2));
   }
   EXPECT_EQ(h.sched->assigned_pods(), 0u);
+}
+
+// A resident on `node` whose required anti-affinity repels app=web Pods.
+Pod WebRepeller(const std::string& name, const std::string& node) {
+  Pod p = MakePod(name);
+  p.spec.node_name = node;
+  api::PodAffinityTerm term;
+  term.selector = api::LabelSelector::FromMap({{"app", "web"}});
+  p.spec.required_anti_affinity.push_back(term);
+  return p;
+}
+
+Pod WebPod(const std::string& name) {
+  Pod p = MakePod(name);
+  p.meta.labels["app"] = "web";
+  return p;
+}
+
+bool WaitAssigned(const Scheduler& sched, size_t n) {
+  for (int i = 0; i < 2500 && sched.assigned_pods() != n; ++i) {
+    RealClock::Get()->SleepFor(Millis(2));
+  }
+  return sched.assigned_pods() == n;
+}
+
+TEST(SchedulerTest, SymmetricAntiAffinityUsesResidentIndex) {
+  SchedulerHarness h(2);
+  ASSERT_TRUE(h.server.Create(WebRepeller("guard", "node-0")).ok());
+  ASSERT_TRUE(WaitAssigned(*h.sched, 1));
+  // Incoming pods carry no terms of their own; only the resident's terms
+  // (symmetry) keep them off node-0, which least-allocated would prefer.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(h.server.Create(WebPod("web-" + std::to_string(i))).ok());
+  }
+  for (int i = 0; i < 3; ++i) {
+    Result<Pod> p = h.WaitScheduled("web-" + std::to_string(i));
+    ASSERT_TRUE(p.ok()) << p.status();
+    EXPECT_EQ(p->spec.node_name, "node-1");
+  }
+}
+
+TEST(SchedulerTest, ResidentStopsRepellingWhenTermsRemovedDeletedOrTerminal) {
+  SchedulerHarness h(1);
+  auto expect_pending_then_bound = [&](const std::string& name, auto release) {
+    ASSERT_TRUE(h.server.Create(WebPod(name)).ok());
+    RealClock::Get()->SleepFor(Millis(150));
+    EXPECT_TRUE(h.server.Get<Pod>("default", name)->spec.node_name.empty()) << name;
+    release();
+    Result<Pod> p = h.WaitScheduled(name);
+    EXPECT_TRUE(p.ok()) << name << ": " << p.status();
+  };
+
+  // Terms removed by an update.
+  ASSERT_TRUE(h.server.Create(WebRepeller("guard-0", "node-0")).ok());
+  ASSERT_TRUE(WaitAssigned(*h.sched, 1));
+  expect_pending_then_bound("web-0", [&] {
+    ASSERT_TRUE(apiserver::RetryUpdate<Pod>(h.server, "default", "guard-0", [](Pod& p) {
+                  p.spec.required_anti_affinity.clear();
+                  return true;
+                }).ok());
+  });
+
+  // Resident deleted.
+  ASSERT_TRUE(h.server.Create(WebRepeller("guard-1", "node-0")).ok());
+  ASSERT_TRUE(WaitAssigned(*h.sched, 3));
+  expect_pending_then_bound("web-1", [&] {
+    ASSERT_TRUE(h.server.Delete<Pod>("default", "guard-1").ok());
+  });
+
+  // Resident terminal.
+  ASSERT_TRUE(h.server.Create(WebRepeller("guard-2", "node-0")).ok());
+  ASSERT_TRUE(WaitAssigned(*h.sched, 4));
+  expect_pending_then_bound("web-2", [&] {
+    ASSERT_TRUE(apiserver::RetryUpdateStatus<Pod>(h.server, "default", "guard-2", [](Pod& p) {
+                  p.status.phase = api::PodPhase::kSucceeded;
+                  return true;
+                }).ok());
+  });
+}
+
+// Real time, except that a scheduling cycle's modeled-cost sleep (kCycle)
+// waits until the test opens the gate. Each cycle reads its informer copy of
+// the Pod before that sleep and binds after it, so a test can change the Pod
+// in between.
+class CycleGate final : public Clock {
+ public:
+  static constexpr Duration kCycle = Seconds(1);
+
+  static CostModel Cost() {
+    CostModel c;
+    c.per_pod_base = kCycle;
+    c.per_node_filter = Duration::zero();
+    c.per_resident_pod = Duration::zero();
+    return c;
+  }
+
+  TimePoint Now() const override { return RealClock::Get()->Now(); }
+  int64_t WallUnixMillis() const override { return RealClock::Get()->WallUnixMillis(); }
+
+  void SleepFor(Duration d) override {
+    if (d != kCycle) {
+      RealClock::Get()->SleepFor(d);
+      return;
+    }
+    BlockingRegion br;
+    std::unique_lock<std::mutex> l(mu_);
+    ++entered_;
+    cv_.notify_all();
+    // Bounded, so a failed test still lets the scheduler stop.
+    cv_.wait_for(l, Seconds(10), [this] { return open_; });
+  }
+
+  // Blocks until a cycle is waiting at the gate.
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> l(mu_);
+    return cv_.wait_for(l, Seconds(5), [this] { return entered_ > 0; });
+  }
+
+  // Lets the waiting cycle and every later one through.
+  void Open() {
+    std::lock_guard<std::mutex> l(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+TEST(SchedulerTest, BindFromStaleInformerCopyDoesNotDoubleBind) {
+  CycleGate gate;
+  SchedulerHarness h(2, CycleGate::Cost(), &gate);
+  ASSERT_TRUE(h.server.Create(MakePod("contested")).ok());
+  // The scheduler holds its pending informer copy at the gate; another writer
+  // binds the pod meanwhile, so the bind's CAS conflicts.
+  ASSERT_TRUE(gate.WaitEntered());
+  ASSERT_TRUE(apiserver::RetryUpdate<Pod>(h.server, "default", "contested", [](Pod& p) {
+                p.spec.node_name = "node-1";
+                return true;
+              }).ok());
+  gate.Open();
+  // Scheduling is sequential: once the next pod binds, the contested cycle
+  // has finished.
+  ASSERT_TRUE(h.server.Create(MakePod("after")).ok());
+  ASSERT_TRUE(h.WaitScheduled("after").ok());
+
+  EXPECT_EQ(h.server.stats().conflicts.load(), 1u);  // the stale CAS
+  EXPECT_EQ(h.server.Get<Pod>("default", "contested")->spec.node_name, "node-1");
+  EXPECT_TRUE(WaitAssigned(*h.sched, 2));
+  EXPECT_EQ(h.sched->assigned_pods(), 2u);  // no phantom assumed placement
+  for (int i = 0; i < 500 && h.sched->scheduled() < 1; ++i) {
+    RealClock::Get()->SleepFor(Millis(2));
+  }
+  EXPECT_EQ(h.sched->scheduled(), 1u);  // only "after"
+}
+
+TEST(SchedulerTest, BindAfterTermsRemovedDoesNotAssumeStaleTerms) {
+  CycleGate gate;
+  SchedulerHarness h(1, CycleGate::Cost(), &gate);
+  Pod shy = WebRepeller("shy", "");
+  ASSERT_TRUE(h.server.Create(shy).ok());
+  // The scheduler holds its informer copy, with terms, at the gate; the terms
+  // are removed meanwhile, so the bind conflicts and binds the live object.
+  ASSERT_TRUE(gate.WaitEntered());
+  ASSERT_TRUE(apiserver::RetryUpdate<Pod>(h.server, "default", "shy", [](Pod& p) {
+                p.spec.required_anti_affinity.clear();
+                return true;
+              }).ok());
+  gate.Open();
+  Result<Pod> bound = h.WaitScheduled("shy");
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  EXPECT_TRUE(bound->spec.required_anti_affinity.empty());
+  EXPECT_GE(h.server.stats().conflicts.load(), 1u);  // bound by the fallback
+
+  // node-0 is the only node: it must not repel app=web Pods on terms the
+  // bound Pod no longer carries.
+  ASSERT_TRUE(h.server.Create(WebPod("web")).ok());
+  Result<Pod> web = h.WaitScheduled("web");
+  EXPECT_TRUE(web.ok()) << web.status();
 }
 
 }  // namespace

@@ -337,6 +337,40 @@ TEST(SyncerIntegrationTest, ScanRepairsTamperedShadow) {
   FAIL() << "scan did not repair the tampered shadow";
 }
 
+// Upward sync decides "no change" on the tenant informer's copy, so a tenant
+// status write from anyone but the syncer must itself re-trigger the upward
+// reconcile: with the periodic scan off, nothing else would revert it.
+TEST(SyncerIntegrationTest, ForeignTenantStatusWriteIsRevertedWithoutScan) {
+  VcDeployment deploy(FastOptions());
+  ASSERT_TRUE(deploy.Start().ok());
+  auto tcp = deploy.CreateTenant("acme");
+  ASSERT_TRUE(tcp.ok());
+  TenantClient client(tcp->get());
+  ASSERT_TRUE(client.Create(BasicPod("default", "web-0")).ok());
+  ASSERT_TRUE(client.WaitPodReady("default", "web-0", Seconds(15)).ok());
+
+  ASSERT_TRUE(apiserver::RetryUpdateStatus<api::Pod>((*tcp)->server(), "default", "web-0",
+                                                     [](api::Pod& p) {
+                                                       p.status.message = "foreign";
+                                                       return true;
+                                                     })
+                  .ok());
+  TenantMapping map = deploy.syncer().MappingOf("acme");
+  Result<api::Pod> shadow =
+      deploy.super().server().Get<api::Pod>(map.SuperNamespace("default"), "web-0");
+  ASSERT_TRUE(shadow.ok());
+  for (int i = 0; i < 3000; ++i) {
+    Result<api::Pod> tp = (*tcp)->server().Get<api::Pod>("default", "web-0");
+    if (tp.ok() && tp->status == shadow->status) {
+      deploy.Stop();
+      return;
+    }
+    RealClock::Get()->SleepFor(Millis(2));
+  }
+  deploy.Stop();
+  FAIL() << "foreign tenant status write was never reverted to the shadow's";
+}
+
 TEST(SyncerIntegrationTest, ScanReapsOrphanShadows) {
   VcDeployment deploy(FastOptions());
   ASSERT_TRUE(deploy.Start().ok());
