@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/histogram.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "vc/deployment.h"
 
 namespace vc::bench {

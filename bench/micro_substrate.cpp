@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks for the substrate hot paths: kv store
-// operations, watch fan-out, codec, work queues (standard vs fair), and the
-// scheduler filter cost — the building blocks whose constants the
-// calibration in EXPERIMENTS.md rests on.
+// operations, watch fan-out, codec, the fair work queue, and the scheduler
+// filter cost — the building blocks whose constants the calibration in
+// EXPERIMENTS.md rests on.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -12,7 +12,6 @@
 #include "api/codec.h"
 #include "apiserver/apiserver.h"
 #include "client/fairqueue.h"
-#include "client/workqueue.h"
 #include "kv/kvstore.h"
 #include "scheduler/predicates.h"
 
@@ -199,16 +198,6 @@ void BM_ApiServerCreate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApiServerCreate);
-
-void BM_WorkQueueAddGetDone(benchmark::State& state) {
-  client::WorkQueue q;
-  int i = 0;
-  for (auto _ : state) {
-    q.Add("key-" + std::to_string(i++ % 64));
-    if (auto k = q.Get()) q.Done(*k);
-  }
-}
-BENCHMARK(BM_WorkQueueAddGetDone);
 
 // WRR dequeue cost as a function of registered vs active tenants. The
 // rotation only tracks tenants with queued work, so cost must follow

@@ -26,12 +26,14 @@ run_preset() {
 case "${1:-default}" in
   default)
     run_preset default
-    # The executor/workqueue/fairqueue/dispatch/storage/trace/runtime/syncer
-    # suites carry the `concurrency` label; any data race in the shared
-    # executor stack, the storage fan-out, or the reconciler runtime is a hard
-    # failure. The storage/dispatch suites also drain the vc::trace history
-    # and have the checker certify ordering (no-gap/no-dup, read-your-write,
-    # span pairing) on the tsan-interleaved runs.
+    # The common/executor/kv_durability/fairqueue/dispatch/storage/trace/
+    # runtime/syncer/scheduler/kubelet suites carry the `concurrency` label;
+    # any data race in the shared executor stack, the storage fan-out, or the
+    # reconciler runtime (which every control loop runs on, the scheduler and
+    # the kubelets included) is a hard failure. The storage/dispatch suites
+    # also drain the vc::trace history and have the checker certify ordering
+    # (no-gap/no-dup, read-your-write, span pairing) on the tsan-interleaved
+    # runs.
     run_preset tsan -L concurrency
     # Same suites under ASan+UBSan: tsan proves ordering, asan proves the
     # lock-free index never touches freed memory (epoch reclamation) and the

@@ -7,8 +7,10 @@
 namespace vc {
 
 RealClock* RealClock::Get() {
-  static RealClock clock;
-  return &clock;
+  // Leaked like Executor::Default(), whose timer thread reads it until the
+  // process is gone: a destroyed static would be called during exit.
+  static RealClock* const clock = new RealClock();
+  return clock;
 }
 
 void RealClock::SleepFor(Duration d) {

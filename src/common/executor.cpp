@@ -516,6 +516,16 @@ std::shared_ptr<Executor> Executor::SharedFor(Clock* clock) {
   return sp;
 }
 
+void ParallelFor(int n, const std::function<void(int)>& fn) {
+  std::vector<std::thread> ts;
+  ts.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) ts.emplace_back([&fn, i] { fn(i); });
+  // Joining can take arbitrarily long; if the caller is a shared-pool worker
+  // the pool must not lose the slot while we wait.
+  BlockingRegion br;
+  for (auto& t : ts) t.join();
+}
+
 uint64_t ProcessThreadCount() {
   FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;

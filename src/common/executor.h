@@ -205,6 +205,11 @@ class BlockingRegion {
   BlockingRegion& operator=(const BlockingRegion&) = delete;
 };
 
+// Launch `n` copies of fn(i) on fresh threads and join them all, inside a
+// BlockingRegion. For fan-out bursts and load generation where per-thread
+// identity matters.
+void ParallelFor(int n, const std::function<void(int)>& fn);
+
 // Number of OS threads in this process (from /proc/self/status), for
 // benchmarks that assert thread-count bounds.
 uint64_t ProcessThreadCount();

@@ -1,5 +1,6 @@
 #include "controllers/runtime.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,25 @@
 #include "common/trace.h"
 
 namespace vc::controllers {
+
+Duration ItemBackoff::Next(const std::string& key) {
+  std::lock_guard<std::mutex> l(mu_);
+  int failures = ++failures_[key];
+  Duration d = base_;
+  for (int i = 1; i < failures && d < max_; ++i) d *= 2;
+  return std::min(d, max_);
+}
+
+void ItemBackoff::Forget(const std::string& key) {
+  std::lock_guard<std::mutex> l(mu_);
+  failures_.erase(key);
+}
+
+int ItemBackoff::Failures(const std::string& key) const {
+  std::lock_guard<std::mutex> l(mu_);
+  auto it = failures_.find(key);
+  return it == failures_.end() ? 0 : it->second;
+}
 
 Reconciler::Reconciler(Options opts, ReconcileFn fn)
     : opts_(std::move(opts)),
@@ -72,19 +92,18 @@ void Reconciler::Stop() {
     drain_cv_.wait(l, [this] { return active_ == 0; });
     started_ = false;
   }
-  // Sweep delayed-requeue timers. Cancel outside delay_mu_ (an in-flight
-  // OnDelayed takes it; Cancel blocks on in-flight callbacks). No new entries
-  // can appear: EnqueueAfter drops under `stopping_`, and in-flight reconciles
-  // arm their retries before the slot decrement that the drain waited on.
-  for (;;) {
-    std::map<std::string, Delayed> sweep;
-    {
-      std::lock_guard<std::mutex> l(delay_mu_);
-      sweep.swap(delayed_);
-    }
-    if (sweep.empty()) break;
-    for (auto& [fk, d] : sweep) d.timer.Cancel();
+  // Cancel every delayed-requeue timer, superseded ones included; Cancel
+  // blocks out an in-flight OnDelayed, so none runs after Stop returns. Done
+  // outside delay_mu_, which OnDelayed takes. No timer is armed after this:
+  // EnqueueAfter drops under `stopping_`, and in-flight reconciles arm their
+  // retries before the slot decrement that the drain waited on.
+  std::vector<TimerHandle> timers;
+  {
+    std::lock_guard<std::mutex> l(delay_mu_);
+    timers.swap(timers_);
+    delayed_.clear();
   }
+  for (TimerHandle& t : timers) t.Cancel();
 }
 
 void Reconciler::RegisterTenant(const std::string& tenant, int weight) {
@@ -121,11 +140,17 @@ void Reconciler::EnqueueAfter(const std::string& tenant, const std::string& key,
   // a delayed duplicate would make it run twice.
   if (queue_.IsQueued(tenant, key)) return;
   const TimePoint deadline = opts_.clock->Now() + d;
-  auto [it, inserted] = delayed_.try_emplace(tenant + "|" + key);
-  if (!inserted && it->second.deadline <= deadline) return;  // sooner one armed
-  it->second.deadline = deadline;
-  it->second.timer = exec_->RunAfter(
-      d, [this, tenant, key, deadline] { OnDelayed(tenant, key, deadline); });
+  auto [it, inserted] = delayed_.try_emplace(tenant + "|" + key, deadline);
+  if (!inserted) {
+    if (it->second <= deadline) return;  // sooner one armed
+    it->second = deadline;
+  }
+  if (timers_.size() >= prune_at_) {
+    std::erase_if(timers_, [](const TimerHandle& t) { return !t.active(); });
+    prune_at_ = std::max<size_t>(64, 2 * timers_.size());
+  }
+  timers_.push_back(exec_->RunAfter(
+      d, [this, tenant, key, deadline] { OnDelayed(tenant, key, deadline); }));
 }
 
 void Reconciler::EnqueueAfter(const std::string& key, Duration d) {
@@ -139,7 +164,7 @@ void Reconciler::OnDelayed(const std::string& tenant, const std::string& key,
     std::lock_guard<std::mutex> l(delay_mu_);
     auto it = delayed_.find(tenant + "|" + key);
     // Superseded (promoted, re-armed earlier, or swept): stale timer no-ops.
-    if (it == delayed_.end() || it->second.deadline != deadline) return;
+    if (it == delayed_.end() || it->second != deadline) return;
     delayed_.erase(it);
   }
   queue_.Add(tenant, key);

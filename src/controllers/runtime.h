@@ -1,6 +1,6 @@
 // Shared reconciler runtime — the one control-loop framework every loop in
 // the system runs on (built-in controllers, syncer downward/upward pools,
-// tenant operator, CRD sync).
+// tenant operator, CRD sync, the scheduler and the kubelets).
 //
 // Shape: a Reconciler owns a tenant-aware client::FairQueue (paper §III-C:
 // per-tenant sub-queues + weighted round-robin; fair=false degrades to the
@@ -39,15 +39,31 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "client/fairqueue.h"
-#include "client/workqueue.h"
 #include "common/clock.h"
 #include "common/executor.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
 
 namespace vc::controllers {
+
+// Per-item exponential backoff: base * 2^(failures-1), capped at max.
+class ItemBackoff {
+ public:
+  ItemBackoff(Duration base, Duration max) : base_(base), max_(max) {}
+
+  Duration Next(const std::string& key);
+  void Forget(const std::string& key);
+  int Failures(const std::string& key) const;
+
+ private:
+  const Duration base_;
+  const Duration max_;
+  mutable std::mutex mu_;
+  std::map<std::string, int> failures_;
+};
 
 struct ReconcileResult {
   enum class Code { kDone, kRetry, kRequeueAfter };
@@ -123,11 +139,6 @@ class Reconciler {
   const client::FairQueue& queue() const { return queue_; }
 
  private:
-  struct Delayed {
-    TimePoint deadline{};
-    TimerHandle timer;
-  };
-
   // Fills the in-flight budget with executor tasks while items are queued.
   void Pump();
   void Process(const Item& item);
@@ -141,7 +152,7 @@ class Reconciler {
   Options opts_;
   ReconcileFn fn_;
   client::FairQueue queue_;
-  client::ItemBackoff backoff_;
+  ItemBackoff backoff_;
   std::shared_ptr<Executor> exec_;
   Histogram queue_lat_;      // enqueue → dequeue
   Histogram reconcile_lat_;  // dispatch → completion
@@ -154,11 +165,17 @@ class Reconciler {
   std::atomic<uint64_t> reconciles_{0};
   std::atomic<uint64_t> retries_{0};
 
-  // Pending delayed requeues by full key; entries are superseded by an
-  // immediate Enqueue (timer fires and no-ops on deadline mismatch — timers
-  // are never cancelled under delay_mu_, which OnDelayed takes).
+  // Pending delayed requeues: full key → deadline. An immediate Enqueue or an
+  // earlier EnqueueAfter supersedes an entry; its timer still fires and
+  // no-ops on the deadline mismatch (timers are never cancelled under
+  // delay_mu_, which OnDelayed takes).
   std::mutex delay_mu_;
-  std::map<std::string, Delayed> delayed_;
+  std::map<std::string, TimePoint> delayed_;
+  // Every armed delayed-requeue timer, superseded ones included, since each
+  // calls into `this` when it fires; Stop cancels them all. Fired ones are
+  // pruned once the vector reaches prune_at_.
+  std::vector<TimerHandle> timers_;
+  size_t prune_at_ = 64;
 
   // LAST member: unregisters before the data the provider reads dies.
   MetricsRegistry::Registration metrics_reg_;

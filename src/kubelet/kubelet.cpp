@@ -25,11 +25,21 @@ bool IsTerminal(const api::Pod& pod) {
 }  // namespace
 
 Kubelet::Kubelet(Options opts)
-    : opts_(std::move(opts)), exec_(Executor::SharedFor(opts_.clock)) {
+    : opts_(std::move(opts)),
+      loop_(
+          [&] {
+            controllers::Reconciler::Options o;
+            o.name = "kubelet";
+            o.clock = opts_.clock;
+            o.workers = opts_.workers;
+            o.backoff_base = Millis(10);
+            o.backoff_max = Seconds(5);
+            return o;
+          }(),
+          [this](const std::string& key) { return ReconcilePod(key); }) {
   if (opts_.runtimes.empty() || !opts_.runtimes.count("")) {
     opts_.runtimes[""] = std::make_shared<MockRuntime>(opts_.clock, opts_.fabric);
   }
-  queue_ = std::make_unique<client::RateLimitingQueue>(opts_.clock, Millis(10), Seconds(5));
 }
 
 Kubelet::~Kubelet() { Stop(); }
@@ -39,15 +49,15 @@ void Kubelet::AttachPodSource(client::SharedInformer<api::Pod>* source) {
   client::EventHandlers<api::Pod> h;
   const std::string node = opts_.node_name;
   h.on_add = [this, node](const api::Pod& pod) {
-    if (pod.spec.node_name == node) queue_->Add(pod.meta.FullName());
+    if (pod.spec.node_name == node) loop_.Enqueue(pod.meta.FullName());
   };
   h.on_update = [this, node](const api::Pod& old_pod, const api::Pod& new_pod) {
     if (new_pod.spec.node_name == node || old_pod.spec.node_name == node) {
-      queue_->Add(new_pod.meta.FullName());
+      loop_.Enqueue(new_pod.meta.FullName());
     }
   };
   h.on_delete = [this, node](const api::Pod& pod) {
-    if (pod.spec.node_name == node) queue_->Add(pod.meta.FullName());
+    if (pod.spec.node_name == node) loop_.Enqueue(pod.meta.FullName());
   };
   source->AddHandlers(std::move(h));
 }
@@ -78,29 +88,20 @@ Status Kubelet::Start() {
   }
 
   KubeletRegistry::Get().Register(endpoint_, this);
-  stop_.store(false);
-  queue_->SetReadyCallback([this] { Pump(); });
-  Pump();
-  heartbeat_timer_ = exec_->RunEvery(opts_.heartbeat_period, [this] {
-    Status st = UpdateNodeStatus(true);
-    if (!st.ok()) {
-      VLOG(2) << opts_.node_name << ": heartbeat failed: " << st;
-    }
-  });
+  loop_.Start();
+  heartbeat_timer_ =
+      Executor::SharedFor(opts_.clock)->RunEvery(opts_.heartbeat_period, [this] {
+        Status st = UpdateNodeStatus(true);
+        if (!st.ok()) {
+          VLOG(2) << opts_.node_name << ": heartbeat failed: " << st;
+        }
+      });
   return OkStatus();
 }
 
 void Kubelet::Stop() {
-  if (stop_.exchange(true)) {
-    // Already stopping; still drain below in case Stop raced Start.
-  }
-  queue_->ShutDown();
   heartbeat_timer_.Cancel();
-  {
-    BlockingRegion br;
-    std::unique_lock<std::mutex> l(pump_mu_);
-    drain_cv_.wait(l, [this] { return active_ == 0; });
-  }
+  loop_.Stop();
   if (!endpoint_.empty()) KubeletRegistry::Get().Unregister(endpoint_);
 }
 
@@ -113,53 +114,6 @@ CriRuntime* Kubelet::RuntimeFor(const api::Pod& pod) {
   auto it = opts_.runtimes.find(pod.spec.runtime_class);
   if (it == opts_.runtimes.end()) it = opts_.runtimes.find("");
   return it->second.get();
-}
-
-void Kubelet::Pump() {
-  std::unique_lock<std::mutex> l(pump_mu_);
-  while (active_ < std::max(1, opts_.workers)) {
-    std::optional<std::string> key = queue_->TryGet();
-    if (!key) break;
-    ++active_;
-    l.unlock();
-    if (!exec_->Submit([this, k = *key] { Process(k); })) {
-      queue_->Done(*key);
-      l.lock();
-      --active_;
-      drain_cv_.notify_all();
-      continue;
-    }
-    l.lock();
-  }
-}
-
-void Kubelet::Process(const std::string& key) {
-  // One ambient trace per pod-worker attempt: the status writes below and the
-  // apiserver requests they become carry this id.
-  trace::TraceScope scope(trace::Enabled() ? trace::NewTraceId() : 0);
-  if (!stop_.load()) {
-    bool done = ReconcilePod(key);
-    if (done) {
-      queue_->Forget(key);
-    } else {
-      queue_->AddRateLimited(key);
-    }
-  }
-  queue_->Done(key);
-  // Hand the slot to the next queued item instead of re-pumping after the
-  // decrement: the moment active_ hits zero Stop() returns and the object
-  // may be destroyed, so the decrement must be the last touch of `this`.
-  std::unique_lock<std::mutex> l(pump_mu_);
-  std::optional<std::string> next;
-  if (!stop_.load()) next = queue_->TryGet();
-  if (next) {
-    l.unlock();
-    if (exec_->Submit([this, k = *next] { Process(k); })) return;  // slot moves on
-    queue_->Done(*next);
-    l.lock();
-  }
-  --active_;
-  drain_cv_.notify_all();
 }
 
 bool Kubelet::ReconcilePod(const std::string& key) {

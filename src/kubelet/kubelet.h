@@ -10,16 +10,15 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "client/informer.h"
-#include "client/workqueue.h"
 #include "common/executor.h"
 #include "common/histogram.h"
+#include "controllers/runtime.h"
 #include "kubelet/cri.h"
 #include "kubelet/registry.h"
 
@@ -86,8 +85,6 @@ class Kubelet {
     std::string uid;
   };
 
-  void Pump();
-  void Process(const std::string& key);
   // Returns true when terminal; false → retry with backoff.
   bool ReconcilePod(const std::string& key);
   Status StartPod(const api::Pod& pod);
@@ -97,13 +94,7 @@ class Kubelet {
 
   Options opts_;
   client::SharedInformer<api::Pod>* source_ = nullptr;
-  std::unique_ptr<client::RateLimitingQueue> queue_;
-  std::shared_ptr<Executor> exec_;
-  std::mutex pump_mu_;
-  std::condition_variable drain_cv_;
-  int active_ = 0;  // in-flight reconciles (<= opts_.workers)
   TimerHandle heartbeat_timer_;
-  std::atomic<bool> stop_{false};
   std::string address_;
   std::string endpoint_;
 
@@ -112,6 +103,10 @@ class Kubelet {
 
   std::atomic<uint64_t> pods_started_{0};
   Histogram start_latency_;
+
+  // Pod workers: opts_.workers in flight, one FIFO (no key_tenant), and a
+  // Pod whose start failed retries with per-Pod backoff.
+  controllers::Reconciler loop_;  // last: drains before members above die
 };
 
 // Hosts many kubelets that share one pod informer against one apiserver —

@@ -1,7 +1,7 @@
 #include "net/kubeproxy.h"
 
+#include "common/executor.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace vc::net {
 

@@ -23,12 +23,25 @@ bool HasAffinityTerms(const api::Pod& pod) {
   return !pod.spec.required_anti_affinity.empty() || !pod.spec.required_affinity.empty();
 }
 
+// Retry backoff for a Pod that did not bind (unschedulable or bind failed).
+constexpr Duration kBackoffBase = Millis(10);
+constexpr Duration kBackoffMax = Millis(200);
+
 }  // namespace
 
 Scheduler::Scheduler(Options opts)
-    : opts_(std::move(opts)), exec_(Executor::SharedFor(opts_.clock)) {
-  queue_ = std::make_unique<client::RateLimitingQueue>(opts_.clock, Millis(10),
-                                                       opts_.unschedulable_backoff);
+    : opts_(std::move(opts)),
+      loop_(
+          [&] {
+            controllers::Reconciler::Options o;
+            o.name = "scheduler";
+            o.clock = opts_.clock;
+            o.workers = 1;  // sequential scheduling (§IV-A)
+            o.backoff_base = kBackoffBase;
+            o.backoff_max = kBackoffMax;
+            return o;
+          }(),
+          [this](const std::string& key) { return ScheduleOne(key); }) {
   pod_informer_ = std::make_unique<client::SharedInformer<api::Pod>>(
       client::ListerWatcher<api::Pod>(opts_.server, "",
                                       apiserver::RequestContext::System("scheduler")));
@@ -39,12 +52,12 @@ Scheduler::Scheduler(Options opts)
   client::EventHandlers<api::Pod> h;
   h.on_add = [this](const api::Pod& pod) {
     ObservePod(nullptr, std::make_shared<const api::Pod>(pod));
-    if (NeedsScheduling(pod)) queue_->Add(pod.meta.FullName());
+    if (NeedsScheduling(pod)) loop_.Enqueue(pod.meta.FullName());
   };
   h.on_update = [this](const api::Pod& old_pod, const api::Pod& new_pod) {
     ObservePod(std::make_shared<const api::Pod>(old_pod),
                std::make_shared<const api::Pod>(new_pod));
-    if (NeedsScheduling(new_pod)) queue_->Add(new_pod.meta.FullName());
+    if (NeedsScheduling(new_pod)) loop_.Enqueue(new_pod.meta.FullName());
   };
   h.on_delete = [this](const api::Pod& pod) {
     ObservePod(std::make_shared<const api::Pod>(pod), nullptr);
@@ -57,19 +70,11 @@ Scheduler::~Scheduler() { Stop(); }
 void Scheduler::Start() {
   node_informer_->Start();
   pod_informer_->Start();
-  stop_.store(false);
-  queue_->SetReadyCallback([this] { Pump(); });
-  Pump();
+  loop_.Start();
 }
 
 void Scheduler::Stop() {
-  stop_.store(true);
-  queue_->ShutDown();
-  {
-    BlockingRegion br;
-    std::unique_lock<std::mutex> l(pump_mu_);
-    drain_cv_.wait(l, [this] { return active_ == 0; });
-  }
+  loop_.Stop();
   pod_informer_->Stop();
   node_informer_->Stop();
 }
@@ -211,50 +216,6 @@ bool Scheduler::ScheduleOne(const std::string& key) {
     bind_latency_.Record(cycle.Elapsed());
   }
   return true;
-}
-
-void Scheduler::Pump() {
-  std::unique_lock<std::mutex> l(pump_mu_);
-  while (active_ < 1) {
-    std::optional<std::string> key = queue_->TryGet();
-    if (!key) break;
-    ++active_;
-    l.unlock();
-    if (!exec_->Submit([this, k = *key] { Process(k); })) {
-      queue_->Done(*key);
-      l.lock();
-      --active_;
-      drain_cv_.notify_all();
-      continue;
-    }
-    l.lock();
-  }
-}
-
-void Scheduler::Process(const std::string& key) {
-  if (!stop_.load()) {
-    bool done = ScheduleOne(key);
-    if (done) {
-      queue_->Forget(key);
-    } else {
-      queue_->AddRateLimited(key);
-    }
-  }
-  queue_->Done(key);
-  // Hand the slot to the next queued item instead of re-pumping after the
-  // decrement: the moment active_ hits zero Stop() returns and the object
-  // may be destroyed, so the decrement must be the last touch of `this`.
-  std::unique_lock<std::mutex> l(pump_mu_);
-  std::optional<std::string> next;
-  if (!stop_.load()) next = queue_->TryGet();
-  if (next) {
-    l.unlock();
-    if (exec_->Submit([this, k = *next] { Process(k); })) return;  // slot moves on
-    queue_->Done(*next);
-    l.lock();
-  }
-  --active_;
-  drain_cv_.notify_all();
 }
 
 }  // namespace vc::scheduler

@@ -17,15 +17,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 
 #include "client/informer.h"
-#include "client/workqueue.h"
-#include "common/executor.h"
 #include "common/histogram.h"
+#include "controllers/runtime.h"
 #include "scheduler/predicates.h"
 
 namespace vc::scheduler {
@@ -43,7 +41,6 @@ class Scheduler {
     Clock* clock = RealClock::Get();
     CostModel cost;
     std::string name = "default-scheduler";
-    Duration unschedulable_backoff = Millis(200);
   };
 
   explicit Scheduler(Options opts);
@@ -74,10 +71,6 @@ class Scheduler {
     api::ResourceList requested;
   };
 
-  // Single-slot pump: the sequential scheduling loop of the default
-  // kube-scheduler, run as at most one executor task at a time.
-  void Pump();
-  void Process(const std::string& key);
   // One scheduling cycle. Returns true on terminal outcome (bound, gone, or
   // not pending anymore); false → retry with backoff.
   bool ScheduleOne(const std::string& key);
@@ -88,12 +81,6 @@ class Scheduler {
   Options opts_;
   std::unique_ptr<client::SharedInformer<api::Pod>> pod_informer_;
   std::unique_ptr<client::SharedInformer<api::Node>> node_informer_;
-  std::unique_ptr<client::RateLimitingQueue> queue_;
-  std::shared_ptr<Executor> exec_;
-  std::mutex pump_mu_;
-  std::condition_variable drain_cv_;
-  int active_ = 0;  // 0 or 1: scheduling is sequential
-  std::atomic<bool> stop_{false};
   std::atomic<uint64_t> scheduled_{0};
   std::atomic<uint64_t> failed_attempts_{0};
   Histogram bind_latency_;
@@ -101,6 +88,11 @@ class Scheduler {
   mutable std::mutex cache_mu_;
   std::map<std::string, NodeState> assignments_;  // node name -> state
   size_t assigned_count_ = 0;
+
+  // The scheduling queue: one worker, so cycles run strictly one at a time
+  // (the sequential loop of the default kube-scheduler), one FIFO (no
+  // key_tenant), and unschedulable Pods retry with per-Pod backoff.
+  controllers::Reconciler loop_;  // last: drains before members above die
 };
 
 }  // namespace vc::scheduler

@@ -1,7 +1,7 @@
 #include "vc/syncer/syncer.h"
 
+#include "common/executor.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace vc::core {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apiserver/apiserver.h"
-#include "common/thread_pool.h"
+#include "common/executor.h"
 
 namespace vc::apiserver {
 namespace {

@@ -3,13 +3,13 @@
 #include <thread>
 
 #include "common/clock.h"
+#include "common/executor.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/json.h"
 #include "common/rand.h"
 #include "common/status.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "common/token_bucket.h"
 
 namespace vc {
@@ -181,36 +181,6 @@ TEST(TokenBucketTest, RefillCapsAtBurst) {
   clock.Advance(Seconds(60));
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(tb.TryTake());
   EXPECT_FALSE(tb.TryTake());
-}
-
-// ----------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.Submit([&] { count++; });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ShutdownIsIdempotent) {
-  ThreadPool pool(2);
-  pool.Submit([] {});
-  pool.Shutdown();
-  pool.Shutdown();
-  pool.Submit([] {});  // dropped, no crash
-}
-
-TEST(ThreadPoolTest, WaitReturnsWhenIdle) {
-  ThreadPool pool(2);
-  pool.Wait();  // no tasks: returns immediately
-  std::atomic<int> count{0};
-  pool.Submit([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    count++;
-  });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
 }
 
 // ----------------------------------------------------------------- Strings

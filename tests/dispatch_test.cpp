@@ -22,7 +22,7 @@
 #include "apiserver/request_context.h"
 #include "client/frontends.h"
 #include "client/typed_client.h"
-#include "common/thread_pool.h"
+#include "common/executor.h"
 #include "common/trace_check.h"
 
 namespace vc::apiserver {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "client/fairqueue.h"
-#include "common/thread_pool.h"
+#include "common/executor.h"
 
 namespace vc::client {
 namespace {
@@ -132,6 +132,15 @@ TEST(FairQueueTest, ReAddDuringProcessingRequeues) {
   EXPECT_EQ(again->key, "k");
   q.Done(*again);
   EXPECT_EQ(q.Len(), 0u);
+}
+
+TEST(FairQueueTest, DirtyWhileProcessingCollapsesManyAdds) {
+  FairQueue q;
+  q.Add("t", "k");
+  auto item = q.Get();
+  for (int i = 0; i < 10; ++i) q.Add("t", "k");
+  q.Done(*item);
+  EXPECT_EQ(q.Len(), 1u);  // one re-queue, not ten
 }
 
 TEST(FairQueueTest, EnqueueTimePreservedAcrossDedup) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "kubelet/kubelet.h"
+#include "manual_time.h"
 
 namespace vc::kubelet {
 namespace {
@@ -128,6 +129,48 @@ TEST(KubeletTest, PodWithMissingSecretWaitsThenStarts) {
   sec.meta.name = "creds";
   ASSERT_TRUE(h.server->Create(sec).ok());
   EXPECT_TRUE(h.WaitReady("web-0", Seconds(15)).ok());
+}
+
+// Destroying a kubelet with a missing-secret Pod's retry armed cancels it,
+// and the delay an informer event superseded too: nothing runs after
+// destruction (ASan/TSan via the concurrency label). The kubelet's clock is
+// manual, so a retry fires only when the test says.
+TEST(KubeletTest, DestroyWithRetryArmedRunsNothingAfter) {
+  ManualClock clock;
+  // Held past the kubelet, so its timers could still fire into it.
+  std::shared_ptr<Executor> exec = Executor::SharedFor(&clock);
+  APIServer server({});
+  net::NetworkFabric fabric;
+  auto fleet = std::make_unique<KubeletFleet>(&server, RealClock::Get());
+  Kubelet::Options ko;
+  ko.node_name = "node-0";
+  ko.clock = &clock;
+  ko.fabric = &fabric;
+  ko.runtimes[""] = std::make_shared<MockRuntime>(RealClock::Get(), &fabric);
+  fleet->Add(std::move(ko));
+  ASSERT_TRUE(fleet->Start().ok());
+
+  Pod p = BoundPod("web-0", "node-0");
+  p.spec.volumes.push_back({"v", "creds", "", ""});
+  const uint64_t gets = server.stats().gets.load();
+  // Each start attempt reads the missing secret (the only Get) and fails.
+  auto wait_attempts = [&](uint64_t n) {
+    for (int i = 0; i < 2500 && server.stats().gets.load() < gets + n; ++i) {
+      RealClock::Get()->SleepFor(Millis(2));
+    }
+    Settle(&clock);
+    return server.stats().gets.load() == gets + n;
+  };
+  Result<Pod> created = server.Create(p);
+  ASSERT_TRUE(created.ok());
+  ASSERT_TRUE(wait_attempts(1));  // retry due at +10 ms
+  created->meta.labels["touched"] = "1";
+  ASSERT_TRUE(server.Update(*created).ok());  // no Get: the count stays exact
+  ASSERT_TRUE(wait_attempts(2));  // the +10 ms delay is superseded; retry at +20 ms
+
+  fleet.reset();
+  AdvanceAndSettle(&clock, Millis(50));  // past both delays
+  EXPECT_EQ(server.stats().gets.load(), gets + 2);
 }
 
 TEST(KubeletTest, UnboundPvcBlocksPodUntilBound) {

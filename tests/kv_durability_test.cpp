@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "apiserver/apiserver.h"
+#include "common/executor.h"
 #include "common/hash.h"
-#include "common/thread_pool.h"
 #include "kv/kvstore.h"
 #include "kv/wal.h"
 

@@ -3,7 +3,7 @@
 #include <atomic>
 #include <thread>
 
-#include "common/thread_pool.h"
+#include "common/executor.h"
 #include "kv/kvstore.h"
 
 namespace vc::kv {

@@ -5,8 +5,8 @@
 #include <map>
 
 #include "client/informer.h"
+#include "common/executor.h"
 #include "common/rand.h"
-#include "common/thread_pool.h"
 #include "kv/kvstore.h"
 
 namespace vc {

@@ -1,7 +1,8 @@
-// Tests for the shared reconciler runtime (controllers/runtime.h): backoff
-// policy, async completions, promote-or-drop dedup between the delayed and
-// ready sets, drain-on-stop with in-flight retries, and the uniform metrics
-// block. Runs under tsan via the `concurrency` ctest label.
+// Tests for the shared reconciler runtime (controllers/runtime.h): per-item
+// backoff, the backoff policy, async completions, promote-or-drop dedup
+// between the delayed and ready sets, drain-on-stop with in-flight retries,
+// and the uniform metrics block. Runs under tsan via the `concurrency` ctest
+// label.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <thread>
 
 #include "controllers/runtime.h"
+#include "manual_time.h"
 
 namespace vc::controllers {
 namespace {
@@ -31,6 +33,26 @@ bool WaitFor(Pred pred, Duration timeout = Seconds(5)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+TEST(ItemBackoffTest, ExponentialGrowthAndCap) {
+  ItemBackoff b(Millis(10), Millis(80));
+  EXPECT_EQ(b.Next("k"), Millis(10));
+  EXPECT_EQ(b.Next("k"), Millis(20));
+  EXPECT_EQ(b.Next("k"), Millis(40));
+  EXPECT_EQ(b.Next("k"), Millis(80));
+  EXPECT_EQ(b.Next("k"), Millis(80));  // capped
+  EXPECT_EQ(b.Failures("k"), 5);
+  b.Forget("k");
+  EXPECT_EQ(b.Failures("k"), 0);
+  EXPECT_EQ(b.Next("k"), Millis(10));
+}
+
+TEST(ItemBackoffTest, IndependentPerKey) {
+  ItemBackoff b(Millis(10), Seconds(1));
+  b.Next("a");
+  b.Next("a");
+  EXPECT_EQ(b.Next("b"), Millis(10));
 }
 
 TEST(ReconcilerTest, ReconcilesEnqueuedKeys) {
@@ -134,6 +156,23 @@ TEST(ReconcilerTest, EnqueuepromotesPendingDelayedAdd) {
   r.Stop();
 }
 
+// A non-positive delay is an immediate Enqueue: the key runs without the
+// (manual) clock moving.
+TEST(ReconcilerTest, EnqueueAfterZeroDelayRunsNow) {
+  ManualClock clock;
+  std::atomic<int> runs{0};
+  Reconciler::Options o = Opts("zero-delay");
+  o.clock = &clock;
+  Reconciler r(std::move(o), Reconciler::SyncFn([&](const std::string&) {
+                 runs.fetch_add(1);
+                 return true;
+               }));
+  r.Start();
+  r.EnqueueAfter("t", "k", Duration::zero());
+  EXPECT_TRUE(WaitFor([&] { return runs.load() >= 1; }));
+  r.Stop();
+}
+
 // Regression (drop): EnqueueAfter of a key already sitting in the ready set is
 // dropped — the queued run covers it.
 TEST(ReconcilerTest, EnqueueAfterDroppedWhenAlreadyQueued) {
@@ -183,6 +222,36 @@ TEST(ReconcilerTest, StopWithInflightRetriesDrainsCleanly) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(runs.load(), after) << "reconcile ran after Stop() returned";
   EXPECT_EQ(r.InFlight(), 0);
+}
+
+// A delay that an Enqueue promoted, or an earlier EnqueueAfter replaced,
+// leaves its timer armed (it fires as a no-op). Stop must cancel those too:
+// one firing after destruction would touch freed memory (ASan).
+TEST(ReconcilerTest, StopCancelsSupersededDelayTimers) {
+  ManualClock clock;
+  // Held past the runtime, so its timers could still fire into it.
+  std::shared_ptr<Executor> exec = Executor::SharedFor(&clock);
+  std::atomic<int> runs{0};
+  auto r = std::make_unique<Reconciler>(
+      [&] {
+        Reconciler::Options o = Opts("superseded");
+        o.clock = &clock;
+        return o;
+      }(),
+      Reconciler::SyncFn([&](const std::string&) {
+        runs.fetch_add(1);
+        return true;
+      }));
+  r->Start();
+  r->EnqueueAfter("t", "promoted", Millis(30));
+  r->Enqueue("t", "promoted");  // its 30 ms timer is now stale
+  r->EnqueueAfter("t", "replaced", Millis(40));
+  r->EnqueueAfter("t", "replaced", Millis(20));  // its 40 ms timer is now stale
+  ASSERT_TRUE(WaitFor([&] { return runs.load() >= 1; }));
+  r->Stop();
+  r.reset();
+  AdvanceAndSettle(&clock, Millis(50));  // past every deadline
+  EXPECT_EQ(runs.load(), 1);
 }
 
 TEST(ReconcilerTest, StopIsIdempotentAndStopsFreshRuntime) {

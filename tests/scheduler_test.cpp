@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "manual_time.h"
 #include "scheduler/scheduler.h"
 
 namespace vc::scheduler {
@@ -534,6 +535,84 @@ TEST(SchedulerTest, BindAfterTermsRemovedDoesNotAssumeStaleTerms) {
   ASSERT_TRUE(h.server.Create(WebPod("web")).ok());
   Result<Pod> web = h.WaitScheduled("web");
   EXPECT_TRUE(web.ok()) << web.status();
+}
+
+// Manual time that counts scheduling cycles: each cycle sleeps its modeled
+// cost exactly once, so SleepFor calls are attempts, and retry delays elapse
+// only when the test advances the clock.
+class CycleCountingClock final : public Clock {
+ public:
+  TimePoint Now() const override { return time_.Now(); }
+  int64_t WallUnixMillis() const override { return time_.WallUnixMillis(); }
+  void SleepFor(Duration d) override {
+    cycles_.fetch_add(1);
+    time_.SleepFor(d);
+  }
+  bool TicksManually() const override { return true; }
+  size_t AddTickListener(std::function<void()> fn) override {
+    return time_.AddTickListener(std::move(fn));
+  }
+  void RemoveTickListener(size_t id) override { time_.RemoveTickListener(id); }
+
+  void Advance(Duration d) { time_.Advance(d); }
+  int cycles() const { return cycles_.load(); }
+
+  // Waits for the n-th cycle to start, then for it and whatever it armed to
+  // finish.
+  bool WaitCycles(int n) {
+    for (int i = 0; i < 2500 && cycles() < n; ++i) RealClock::Get()->SleepFor(Millis(2));
+    Settle(this);
+    return cycles() == n;
+  }
+
+ private:
+  ManualClock time_;
+  std::atomic<int> cycles_{0};
+};
+
+CostModel ZeroCost() { return CostModel{Duration::zero(), Duration::zero(), Duration::zero()}; }
+
+// A Pod that is backing off after an unschedulable cycle and then gets an
+// informer event runs once for the event; the delay armed by the first cycle
+// must not run it a second time when it fires.
+TEST(SchedulerTest, EventDuringBackoffRunsOneAttempt) {
+  CycleCountingClock clock;
+  SchedulerHarness h(1, ZeroCost(), &clock);
+  ASSERT_TRUE(h.server.Create(MakePod("big", 9000)).ok());  // the node has 8000m
+  ASSERT_TRUE(clock.WaitCycles(1));  // unschedulable; retry due at +10 ms
+
+  ASSERT_TRUE(apiserver::RetryUpdate<Pod>(h.server, "default", "big", [](Pod& p) {
+                p.meta.labels["touched"] = "1";
+                return true;
+              }).ok());
+  ASSERT_TRUE(clock.WaitCycles(2));  // the event's attempt; next retry at +20 ms
+
+  AdvanceAndSettle(&clock, Millis(15));  // past the first cycle's delay only
+  EXPECT_EQ(clock.cycles(), 2) << "the superseded delay ran the Pod again";
+
+  AdvanceAndSettle(&clock, Millis(10));  // past the second cycle's delay
+  EXPECT_EQ(clock.cycles(), 3);
+  EXPECT_EQ(h.sched->failed_attempts(), 3u);
+}
+
+// Destroying the scheduler with an unschedulable Pod's retry armed cancels
+// it, and the delay an informer event superseded too: nothing runs after
+// destruction (ASan/TSan via the concurrency label).
+TEST(SchedulerTest, DestroyWithRetryArmedRunsNothingAfter) {
+  CycleCountingClock clock;
+  // Held past the scheduler, so its timers could still fire into it.
+  std::shared_ptr<Executor> exec = Executor::SharedFor(&clock);
+  SchedulerHarness h(1, ZeroCost(), &clock);
+  ASSERT_TRUE(h.server.Create(MakePod("big", 9000)).ok());
+  ASSERT_TRUE(clock.WaitCycles(1));  // retry due at +10 ms
+  ASSERT_TRUE(apiserver::RetryUpdate<Pod>(h.server, "default", "big", [](Pod& p) {
+                p.meta.labels["touched"] = "1";
+                return true;
+              }).ok());
+  ASSERT_TRUE(clock.WaitCycles(2));  // the +10 ms delay is superseded; retry at +20 ms
+  h.sched.reset();
+  AdvanceAndSettle(&clock, Millis(50));  // past both delays
+  EXPECT_EQ(clock.cycles(), 2);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "apiserver/apiserver.h"
-#include "common/thread_pool.h"
+#include "common/executor.h"
 #include "common/trace_check.h"
 #include "kv/kvstore.h"
 

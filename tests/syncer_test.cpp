@@ -3,7 +3,7 @@
 // behaviour, and the periodic scan.
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
+#include "common/executor.h"
 #include "vc/deployment.h"
 
 namespace vc::core {

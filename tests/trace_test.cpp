@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/executor.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "common/trace_check.h"
 #include "kv/kvstore.h"
