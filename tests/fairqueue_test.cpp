@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <thread>
 #include <vector>
@@ -249,6 +250,109 @@ TEST(FairQueueTest, ManyTenantsManyWorkersAllProcessed) {
   q.ShutDown();
   for (auto& w : workers) w.join();
   EXPECT_EQ(processed.load(), kTenants * kKeysPer);
+}
+
+// The client-go work-queue contract on a single sub-queue. This is the shape
+// the scheduler and each kubelet run on: their Reconciler is fed by
+// Enqueue(key) with no key_tenant, so every key lands in the "" sub-queue and
+// the FairQueue behaves as one FIFO work queue.
+constexpr char kOneFifo[] = "";
+
+TEST(WorkQueueTest, FifoOrder) {
+  FairQueue q;
+  q.Add(kOneFifo, "a");
+  q.Add(kOneFifo, "b");
+  q.Add(kOneFifo, "c");
+  EXPECT_EQ(q.Len(), 3u);
+  EXPECT_EQ(q.Get()->key, "a");
+  EXPECT_EQ(q.Get()->key, "b");
+  EXPECT_EQ(q.Get()->key, "c");
+}
+
+TEST(WorkQueueTest, DeduplicatesQueuedItems) {
+  FairQueue q;
+  q.Add(kOneFifo, "a");
+  q.Add(kOneFifo, "a");
+  q.Add(kOneFifo, "a");
+  EXPECT_EQ(q.Len(), 1u);
+  EXPECT_EQ(q.adds(), 1u);
+  EXPECT_EQ(q.dedups(), 2u);
+}
+
+// Re-adding an item while it is being processed does not create a second
+// concurrent processor; the item is re-queued on Done.
+TEST(WorkQueueTest, ReAddDuringProcessingRequeuesOnDone) {
+  FairQueue q;
+  q.Add(kOneFifo, "a");
+  auto item = q.Get();
+  q.Add(kOneFifo, "a");    // processing → goes dirty
+  EXPECT_EQ(q.Len(), 0u);  // not yet re-queued
+  q.Done(*item);
+  EXPECT_EQ(q.Len(), 1u);
+  auto again = q.Get();
+  EXPECT_EQ(again->key, "a");
+  q.Done(*again);
+  EXPECT_EQ(q.Len(), 0u);
+}
+
+TEST(WorkQueueTest, GetBlocksUntilAdd) {
+  FairQueue q;
+  std::atomic<bool> got{false};
+  std::thread t([&] {
+    auto item = q.Get();
+    EXPECT_TRUE(item.has_value());
+    got.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(got.load());
+  q.Add(kOneFifo, "x");
+  t.join();
+  EXPECT_TRUE(got.load());
+}
+
+TEST(WorkQueueTest, ShutdownUnblocksGetters) {
+  FairQueue q;
+  std::thread t([&] { EXPECT_FALSE(q.Get().has_value()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  q.ShutDown();
+  t.join();
+  EXPECT_TRUE(q.ShuttingDown());
+  q.Add(kOneFifo, "late");  // dropped
+  EXPECT_EQ(q.Len(), 0u);
+}
+
+TEST(WorkQueueTest, ShutdownDrainsRemainingItems) {
+  FairQueue q;
+  q.Add(kOneFifo, "a");
+  q.Add(kOneFifo, "b");
+  q.ShutDown();
+  EXPECT_TRUE(q.Get().has_value());
+  EXPECT_TRUE(q.Get().has_value());
+  EXPECT_FALSE(q.Get().has_value());
+}
+
+TEST(WorkQueueTest, ConcurrentProducersConsumersProcessEverything) {
+  FairQueue q;
+  constexpr int kKeys = 500;
+  std::atomic<int> processed{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&] {
+      while (auto item = q.Get()) {
+        processed++;
+        q.Done(*item);
+      }
+    });
+  }
+  ParallelFor(4, [&](int t) {
+    for (int i = 0; i < kKeys; ++i) {
+      q.Add(kOneFifo, "key-" + std::to_string(t) + "-" + std::to_string(i));
+    }
+  });
+  while (q.Len() > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  q.ShutDown();
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(processed.load(), 4 * kKeys);
 }
 
 // Property sweep: under any tenant count, with equal weights, the max spread

@@ -9,7 +9,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "controllers/runtime.h"
 #include "manual_time.h"
@@ -135,6 +137,67 @@ TEST(ReconcilerTest, AsyncCompletionHoldsSlot) {
     pending.clear();
   }
   EXPECT_TRUE(WaitFor([&] { return r.reconciles() >= 2; }));
+  r.Stop();
+}
+
+// The delayed-add contract the scheduler and kubelets used to get from a
+// separate delaying queue: EnqueueAfter holds the key back until its delay
+// has passed on the runtime's clock, while an immediate Enqueue runs now.
+TEST(DelayingQueueTest, AddAfterDelaysDelivery) {
+  ManualClock clock;
+  std::mutex mu;
+  std::vector<std::string> order;
+  Reconciler::Options o = Opts("add-after");
+  o.clock = &clock;
+  Reconciler r(std::move(o), Reconciler::SyncFn([&](const std::string& key) {
+                 std::lock_guard<std::mutex> l(mu);
+                 order.push_back(key);
+                 return true;
+               }));
+  auto seen = [&] {
+    std::lock_guard<std::mutex> l(mu);
+    return order;
+  };
+  r.Start();
+  r.EnqueueAfter("later", Millis(50));
+  r.Enqueue("now");
+  ASSERT_TRUE(WaitFor([&] { return seen().size() >= 1; }));
+  Settle(&clock);
+  EXPECT_EQ(seen(), std::vector<std::string>{"now"});
+  AdvanceAndSettle(&clock, Millis(40));  // short of the delay
+  EXPECT_EQ(seen(), std::vector<std::string>{"now"});
+  AdvanceAndSettle(&clock, Millis(10));  // the delay has passed
+  EXPECT_EQ(seen(), (std::vector<std::string>{"now", "later"}));
+  r.Stop();
+}
+
+// The retry contract the scheduler and kubelets used to get from a separate
+// rate-limiting queue: a failed key comes back only after its per-item
+// backoff, and a success forgets the backoff so the next failure starts
+// again from the base delay.
+TEST(RateLimitingQueueTest, RetriesComeBackWithBackoff) {
+  ManualClock clock;
+  std::atomic<int> attempts{0};
+  Reconciler::Options o = Opts("rate-limited");
+  o.clock = &clock;
+  o.backoff_base = Millis(5);
+  o.backoff_max = Millis(100);
+  // Attempts 1 and 3 fail, 2 and 4 succeed.
+  Reconciler r(std::move(o), Reconciler::SyncFn([&](const std::string&) {
+                 return attempts.fetch_add(1) % 2 == 1;
+               }));
+  r.Start();
+  for (int round = 1; round <= 2; ++round) {
+    r.Enqueue("k");
+    ASSERT_TRUE(WaitFor([&] { return attempts.load() >= 2 * round - 1; }));
+    Settle(&clock);
+    EXPECT_EQ(attempts.load(), 2 * round - 1);
+    EXPECT_EQ(r.retries(), static_cast<uint64_t>(round));
+    AdvanceAndSettle(&clock, Millis(4));  // short of the base backoff
+    EXPECT_EQ(attempts.load(), 2 * round - 1);
+    AdvanceAndSettle(&clock, Millis(1));  // base backoff, not doubled
+    EXPECT_EQ(attempts.load(), 2 * round);
+  }
   r.Stop();
 }
 
