@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # Hot-path benchmark comparison: builds the current checkout (head) and, when
-# possible, its parent commit (baseline) in a scratch worktree, runs the
-# storage + queue microbenches plus the quick fig9/fig11/scale_tenants
-# harnesses on both, and writes BENCH_storage.json with both sets of numbers
-# side by side.
+# possible, its parent commit (baseline) in a temporary copy, runs the storage +
+# queue microbenches (3 repetitions; each axis records its median and cv) plus
+# the quick fig9/fig11/scale_tenants harnesses on both, and writes
+# BENCH_storage.json with both sets of numbers side by side.
 #
 #   scripts/bench_compare.sh                 # baseline = HEAD~1
 #   BASELINE_REF=main~2 scripts/bench_compare.sh
 #
-# The head's bench/ sources are copied into the baseline worktree so both
+# The head's bench/ sources are copied into the baseline copy so both
 # builds run the *same* benchmark binary names and arguments
 # (micro_substrate.cpp carries a detection shim for pre-refactor KvStore
-# APIs). If the baseline cannot be built (shallow clone, dirty tree, source
+# APIs). If the baseline cannot be built (shallow clone, source
 # incompatibility), the script degrades to head-only output rather than fail.
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -22,6 +22,7 @@ OUT="${OUT:-BENCH_storage.json}"
 # that have vc::trace; BM_TraceRecord is the raw per-event Emit cost.
 FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord'
 NPROC="$(nproc)"
+REPS=3
 
 build_and_run() {  # $1 = source dir, $2 = result json, $3 = text-output dir
   local src="$1" out="$2" txt="$3"
@@ -35,7 +36,7 @@ build_and_run() {  # $1 = source dir, $2 = result json, $3 = text-output dir
   "$src/build-bench/bench/micro_substrate" \
       --benchmark_filter="$FILTER" \
       --benchmark_out="$out" --benchmark_out_format=json \
-      --benchmark_repetitions=1 || return 1
+      --benchmark_repetitions="$REPS" || return 1
   "$src/build-bench/bench/fig9_throughput" --quick > "$txt/fig9" 2>&1 || return 1
   # Fairness ablation and tenant-scale sweep guard the reconciler runtime:
   # fig11 exercises the WRR/FIFO split end to end, scale_tenants the
@@ -57,54 +58,66 @@ fi
 
 BASE_JSON=""
 BASE_TXT=""
-WORKTREE=""
+BASE_DIR=""
 if git rev-parse --verify -q "$BASELINE_REF" > /dev/null; then
-  WORKTREE="$(mktemp -d)/baseline"
-  echo "==> baseline ($BASELINE_REF): building in worktree $WORKTREE"
-  if git worktree add --detach "$WORKTREE" "$BASELINE_REF" > /dev/null 2>&1; then
+  BASE_DIR="$(mktemp -d)"
+  echo "==> baseline ($BASELINE_REF): building in $BASE_DIR"
+  if git archive "$BASELINE_REF" | tar -x -C "$BASE_DIR"; then
     # Same bench sources on both sides so names/args line up.
-    rm -rf "$WORKTREE/bench"
-    cp -r bench "$WORKTREE/bench"
+    rm -rf "$BASE_DIR/bench"
+    cp -r bench "$BASE_DIR/bench"
     BASE_JSON="$(mktemp)"
     BASE_TXT="$(mktemp -d)"
-    if ! build_and_run "$WORKTREE" "$BASE_JSON" "$BASE_TXT"; then
+    if ! build_and_run "$BASE_DIR" "$BASE_JSON" "$BASE_TXT"; then
       echo "warning: baseline build/run failed; emitting head-only results" >&2
       BASE_JSON=""
       BASE_TXT=""
     fi
   else
-    echo "warning: could not create baseline worktree; head-only results" >&2
+    echo "warning: could not export $BASELINE_REF; head-only results" >&2
   fi
 else
   echo "warning: baseline ref $BASELINE_REF not found; head-only results" >&2
 fi
 
-python3 - "$HEAD_JSON" "$BASE_JSON" "$OUT" "$BASELINE_REF" "$HEAD_TXT" "$BASE_TXT" <<'EOF'
+python3 - "$HEAD_JSON" "$BASE_JSON" "$OUT" "$BASELINE_REF" "$HEAD_TXT" "$BASE_TXT" "$REPS" <<'EOF'
 import json, os, subprocess, sys
 
-head_path, base_path, out_path, base_ref, head_txt, base_txt = sys.argv[1:7]
+head_path, base_path, out_path, base_ref, head_txt, base_txt, reps = sys.argv[1:8]
 
 def load(path):
+    """Per axis: the median over the repetitions (times and counters) plus the
+    coefficient of variation of both times. Axis names drop the "/real_time"
+    tag google-benchmark inserts, e.g. "BM_KvPut/threads:4"."""
     if not path:
         return {}
     with open(path) as f:
         raw = json.load(f)
     out = {}
     for b in raw.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
+        agg = b.get("aggregate_name")
+        if b.get("run_type") != "aggregate" or agg not in ("median", "cv"):
             continue
-        out[b["name"]] = {
-            "real_time": b["real_time"],
-            "cpu_time": b["cpu_time"],
-            "time_unit": b["time_unit"],
-            **{k: b[k] for k in ("items_per_second", "bytes_per_second",
-                                 "decode_reduction", "decoded_bytes") if k in b},
-        }
+        e = out.setdefault(b["run_name"].replace("/real_time", ""), {})
+        if agg == "median":
+            e.update({
+                "real_time": b["real_time"],
+                "cpu_time": b["cpu_time"],
+                "time_unit": b["time_unit"],
+                **{k: b[k] for k in ("items_per_second", "bytes_per_second",
+                                     "decode_reduction", "decoded_bytes") if k in b},
+            })
+        else:
+            e["real_time_cv"] = round(b["real_time"], 4)
+            e["cpu_time_cv"] = round(b["cpu_time"], 4)
     return out
 
 head, base = load(head_path), load(base_path)
 rev = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
                      text=True).stdout.strip()
+if subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                  capture_output=True, text=True).stdout.strip():
+    rev += "+uncommitted"  # head = the working tree, not HEAD itself
 def read_text(dirname, name):
     if not dirname:
         return None
@@ -114,9 +127,14 @@ def read_text(dirname, name):
     except OSError:
         return None
 
+base_commit = subprocess.run(["git", "rev-parse", base_ref], capture_output=True,
+                             text=True).stdout.strip()
 report = {
     "head_commit": rev,
     "baseline_ref": base_ref if base else None,
+    "baseline_commit": base_commit if base else None,
+    "repetitions": int(reps),
+    "statistic": "median of the repetitions; *_cv = stddev / mean",
     "benchmarks": {},
 }
 for fig in ("fig9", "fig11", "scale_tenants", "frontend_scaleout"):
@@ -138,7 +156,7 @@ for name, e in report["benchmarks"].items():
 EOF
 STATUS=$?
 
-if [ -n "$WORKTREE" ] && [ -d "$WORKTREE" ]; then
-  git worktree remove --force "$WORKTREE" > /dev/null 2>&1 || true
+if [ -n "$BASE_DIR" ] && [ -d "$BASE_DIR" ]; then
+  rm -rf "$BASE_DIR"
 fi
 exit $STATUS

@@ -109,7 +109,8 @@ std::string APIServer::MakeContinueToken(int64_t revision, const std::string& la
   return StrFormat("v1:%lld:", static_cast<long long>(revision)) + last_key;
 }
 
-Result<APIServer::ContinueToken> APIServer::ParseContinueToken(const std::string& token) {
+Result<APIServer::ContinueToken> APIServer::ParseContinueToken(const std::string& token,
+                                                               const std::string& prefix) {
   if (!StartsWith(token, "v1:")) {
     return InvalidArgumentError("malformed continue token: " + token);
   }
@@ -125,6 +126,9 @@ Result<APIServer::ContinueToken> APIServer::ParseContinueToken(const std::string
     return InvalidArgumentError("malformed continue token revision: " + token);
   }
   out.last_key = token.substr(sep + 1);
+  if (!StartsWith(out.last_key, prefix)) {
+    return InvalidArgumentError("continue key is not valid: " + out.last_key);
+  }
   return out;
 }
 

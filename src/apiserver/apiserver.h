@@ -358,7 +358,7 @@ class APIServer {
     if (opts_.enable_watch_cache) {
       std::shared_ptr<WatchCache<T>> cache = CacheFor<T>();
       Result<std::shared_ptr<const T>> hit = cache->GetFresh(
-          Key<T>(ns, name), store_->RevisionFence(), opts_.cache_fresh_timeout);
+          Key<T>(ns, name), store_->CurrentRevision(), opts_.cache_fresh_timeout);
       if (hit.ok()) {
         stats_.cache_served_gets++;
         return T(**hit);  // resource_version already stamped at decode
@@ -406,7 +406,7 @@ class APIServer {
       const std::vector<std::string> paths = fields->Paths();
       TypedList<T> out;
       const bool served = cache->SnapshotScan(
-          prefix, store_->RevisionFence(), opts_.cache_fresh_timeout, &out.revision,
+          prefix, store_->CurrentRevision(), opts_.cache_fresh_timeout, &out.revision,
           [&](const std::string&, const typename WatchCache<T>::Item& item) {
             if (selecting) {
               if (!labels->Empty() && !labels->Matches(item.obj->meta.labels)) return;
@@ -430,7 +430,7 @@ class APIServer {
     int64_t snapshot = 0;
     std::string start_after;
     if (!opts.continue_token.empty()) {
-      Result<ContinueToken> tok = ParseContinueToken(opts.continue_token);
+      Result<ContinueToken> tok = ParseContinueToken(opts.continue_token, prefix);
       if (!tok.ok()) return tok.status();
       snapshot = tok->revision;
       start_after = tok->last_key;
@@ -595,7 +595,10 @@ class APIServer {
     std::string last_key;
   };
   static std::string MakeContinueToken(int64_t revision, const std::string& last_key);
-  static Result<ContinueToken> ParseContinueToken(const std::string& token);
+  // Rejects a token whose key lies outside `prefix` (another namespace or
+  // kind): paging from it would answer a silent empty page.
+  static Result<ContinueToken> ParseContinueToken(const std::string& token,
+                                                  const std::string& prefix);
 
   // Builds the kv-level event filter for a selector watch (see Watch()).
   static std::function<std::optional<kv::Event>(const kv::Event&)> MakeSelectorFilter(

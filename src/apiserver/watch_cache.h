@@ -137,12 +137,10 @@ class WatchCache {
 
   // Blocks (real time, bounded) until the cache has applied `target`.
   // Returns false when unhealthy or the deadline passes — caller must serve
-  // from the store. `target` must be a PUBLISHED revision — the store's
-  // RevisionFence(), not its minted counter: with the sharded store a commit
-  // exists between minting and publication, and waiting on an unpublished
-  // revision would stall reads behind a write that has not reached the watch
-  // stream yet. RevisionFence() also guarantees read-your-write, because a
-  // mutation only returns after its own revision publishes.
+  // from the store. `target` is the store's CurrentRevision(): every
+  // revision at or below it is already in the watch stream, so the wait
+  // never stalls behind a write in flight, and read-your-write holds because
+  // a mutation returns only after its revision is published.
   bool WaitFresh(int64_t target, Duration timeout) {
     BlockingRegion blocking;  // reconcilers call reads from pool tasks
     std::unique_lock<std::mutex> l(mu_);

@@ -156,8 +156,8 @@ CheckReport CheckHistory(const DrainResult& drained, const CheckOptions& opts) {
   //       is a real ordering bug, not cross-shard noise;
   //   (b) globally: the sorted set of commit revisions is dense (consecutive,
   //       no duplicate, no gap) — the per-shard streams interleave into ONE
-  //       revision sequence, i.e. the atomic mint never double-issued or
-  //       skipped. Together (a)+(b) are exactly the commit-monotonicity
+  //       revision sequence, i.e. the store never minted a revision twice
+  //       or skipped one. Together (a)+(b) are exactly the commit-monotonicity
   //       contract the pre-sharding checker certified over a single stream.
   if (opts.single_store) {
     std::map<uint64_t, int64_t> shard_last;  // shard -> last commit revision

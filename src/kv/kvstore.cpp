@@ -98,16 +98,10 @@ void WatchChannel::CloseGone() {
 
 // ----------------------------------------------------------------- ShardIndex
 
-void ShardIndex::Configure(size_t buckets) {
-  size_t n = 1;
-  while (n < buckets) n <<= 1;
-  mask_ = n - 1;
-}
-
 ShardIndex::~ShardIndex() {
   std::atomic<IndexNode*>* b = buckets_.load(std::memory_order_relaxed);
   if (b == nullptr) return;
-  for (size_t i = 0; i <= mask_; ++i) {
+  for (size_t i = 0; i < kBuckets; ++i) {
     IndexNode* n = b[i].load(std::memory_order_relaxed);
     while (n != nullptr) {
       IndexNode* next = n->next.load(std::memory_order_relaxed);
@@ -123,14 +117,14 @@ std::atomic<IndexNode*>* ShardIndex::EnsureBuckets() {
   if (b != nullptr) return b;
   // Single writer (shard lock held): no CAS needed, just publish the zeroed
   // array so concurrent lock-free readers see either null or a valid table.
-  b = new std::atomic<IndexNode*>[mask_ + 1]();
+  b = new std::atomic<IndexNode*>[kBuckets]();
   buckets_.store(b, std::memory_order_seq_cst);
   return b;
 }
 
 IndexNode* ShardIndex::Upsert(IndexNode* n) {
   std::atomic<IndexNode*>* b = EnsureBuckets();
-  std::atomic<IndexNode*>& head = b[(n->hash >> 4) & mask_];
+  std::atomic<IndexNode*>& head = b[(n->hash >> 4) & (kBuckets - 1)];
   IndexNode* prev = nullptr;
   IndexNode* cur = head.load(std::memory_order_seq_cst);
   while (cur != nullptr &&
@@ -159,7 +153,7 @@ IndexNode* ShardIndex::Upsert(IndexNode* n) {
 IndexNode* ShardIndex::Erase(std::string_view key, uint64_t hash) {
   std::atomic<IndexNode*>* b = buckets_.load(std::memory_order_acquire);
   if (b == nullptr) return nullptr;
-  std::atomic<IndexNode*>& head = b[(hash >> 4) & mask_];
+  std::atomic<IndexNode*>& head = b[(hash >> 4) & (kBuckets - 1)];
   IndexNode* prev = nullptr;
   IndexNode* cur = head.load(std::memory_order_seq_cst);
   while (cur != nullptr && !(cur->hash == hash && cur->entry.key == key)) {
@@ -179,7 +173,7 @@ IndexNode* ShardIndex::Erase(std::string_view key, uint64_t hash) {
 const IndexNode* ShardIndex::Find(std::string_view key, uint64_t hash) const {
   std::atomic<IndexNode*>* b = buckets_.load(std::memory_order_seq_cst);
   if (b == nullptr) return nullptr;
-  const IndexNode* n = b[(hash >> 4) & mask_].load(std::memory_order_seq_cst);
+  const IndexNode* n = b[(hash >> 4) & (kBuckets - 1)].load(std::memory_order_seq_cst);
   while (n != nullptr && !(n->hash == hash && n->entry.key == key)) {
     n = n->next.load(std::memory_order_seq_cst);
   }
@@ -189,19 +183,16 @@ const IndexNode* ShardIndex::Find(std::string_view key, uint64_t hash) const {
 // -------------------------------------------------------------------- KvStore
 
 KvStore::KvStore(Options opts)
-    : revision_(opts.start_revision),
-      published_(opts.start_revision),
+    : published_(opts.start_revision),
       compacted_(opts.start_revision),
       max_log_events_(opts.max_log_events),
       max_log_bytes_(opts.max_log_bytes),
-      index_buckets_(opts.index_buckets_per_shard),
       executor_(opts.executor ? std::move(opts.executor)
                               : Executor::SharedFor(RealClock::Get())),
       wal_sync_every_commit_(opts.wal_sync_every_commit),
       wal_buffer_bytes_(opts.wal_buffer_bytes),
       wal_rotate_bytes_(opts.wal_rotate_bytes),
       wal_dir_(opts.wal_dir) {
-  for (Shard& sh : shards_) sh.index.Configure(index_buckets_);
   if (!wal_dir_.empty()) RecoverFromDisk(opts);
 }
 
@@ -308,7 +299,6 @@ void KvStore::RecoverFromDisk(const Options& opts) {
               << recovered << "; discarding the damaged tail";
   }
   const int64_t rev = std::max(recovered, opts.start_revision);
-  revision_.store(rev, std::memory_order_relaxed);
   published_.store(rev, std::memory_order_relaxed);
   // The replay log does not survive a restart: watches older than the
   // recovered revision must relist (410 Gone), like an etcd whose compaction
@@ -388,8 +378,8 @@ Status KvStore::CheckpointLocked() {
   wal::SnapshotData snap;
   {
     // Revision fence: with every shard lock held shared no writer is inside
-    // its commit section, so published_ == revision_ and the per-shard maps
-    // together form the exact state at that revision.
+    // its commit section, so the per-shard maps together form the exact state
+    // at published_.
     std::array<std::shared_lock<std::shared_mutex>, kShards> fence;
     for (size_t i = 0; i < kShards; ++i) {
       fence[i] = std::shared_lock<std::shared_mutex>(shards_[i].mu);
@@ -535,7 +525,9 @@ void KvStore::TrimLogLocked() {
   }
 }
 
-void KvStore::AppendLogLocked(Event e) {
+void KvStore::PublishLocked(Event e) {
+  const int64_t rev = e.revision;
+  AppendWalLocked(e);
   log_bytes_ += EventBytes(e);
   log_.push_back(e);
   TrimLogLocked();
@@ -545,6 +537,9 @@ void KvStore::AppendLogLocked(Event e) {
     cmd.event = std::move(e);
     EnqueueLocked(std::move(cmd));
   }
+  // Last: a reader that observes `rev` also observes the index change and
+  // the log entry made above.
+  published_.store(rev, std::memory_order_release);
 }
 
 void KvStore::EnqueueLocked(DispatchCmd cmd) {
@@ -626,47 +621,6 @@ void KvStore::FlushWatchDispatch() {
   pend_cv_.wait(pl, [this] { return pending_.empty() && !dispatch_active_; });
 }
 
-// ---------------------------------------------------------------- publication
-
-void KvStore::AwaitPublishTurn(int64_t rev) {
-  // The common case — predecessor already published — is one atomic load.
-  // All four sequencer accesses (published_ store/load, pub_waiters_
-  // fetch_add/load) are seq_cst: the publisher's "store published_, then
-  // check for waiters" and the waiter's "count self, then re-check
-  // published_" form a Dekker pair, and seq_cst guarantees at least one side
-  // sees the other (no lost wakeup without holding pub_mu_ on the fast path).
-  if (published_.load(std::memory_order_seq_cst) >= rev - 1) return;
-  for (int spin = 0; spin < 1024; ++spin) {
-    if (published_.load(std::memory_order_seq_cst) >= rev - 1) return;
-  }
-  pub_waiters_.fetch_add(1, std::memory_order_seq_cst);
-  {
-    std::unique_lock<std::mutex> pl(pub_mu_);
-    pub_cv_.wait(pl, [&] {
-      return published_.load(std::memory_order_seq_cst) >= rev - 1;
-    });
-  }
-  pub_waiters_.fetch_sub(1, std::memory_order_seq_cst);
-}
-
-void KvStore::Publish(Event e) {
-  const int64_t rev = e.revision;
-  AwaitPublishTurn(rev);
-  {
-    std::lock_guard<std::mutex> ll(log_mu_);
-    AppendWalLocked(e);
-    AppendLogLocked(std::move(e));
-    // The write is globally visible from here: the log holds it, the
-    // dispatch queue (if anyone listens) holds it, and every revision below
-    // it published first.
-    published_.store(rev, std::memory_order_seq_cst);
-  }
-  if (pub_waiters_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> pl(pub_mu_);
-    pub_cv_.notify_all();
-  }
-}
-
 // ------------------------------------------------------------------ mutations
 
 Result<int64_t> KvStore::Put(const std::string& key, std::string value,
@@ -702,27 +656,17 @@ Result<int64_t> KvStore::Put(const std::string& key, std::string value,
         }
       }
     }
-    // Mint only after every precondition passed: failed writes consume no
-    // revision, keeping the published stream dense.
-    rev = revision_.fetch_add(1, std::memory_order_seq_cst) + 1;
     Blob blob(std::move(value));
     Event e;
     e.type = EventType::kPut;
     e.key = key;
     e.value = blob;
-    e.revision = rev;
     e.trace = trace::CurrentTraceId();
-    // Stamped under the shard lock: commits of one shard trace in revision
-    // order, which the checker's per-shard monotonicity pass asserts
-    // (arg = shard).
-    trace::Emit(trace::Component::kKv, trace::Verb::kPut, e.trace, rev, key, shard);
     IndexNode* n = new IndexNode;
     n->hash = h;
     n->entry.key = key;
     n->entry.value = blob;
-    n->entry.mod_revision = rev;
     if (cur == nullptr) {
-      n->entry.create_revision = rev;
       n->entry.version = 1;
       live_bytes_.fetch_add(key.size() + blob.size(), std::memory_order_relaxed);
       entry_count_.fetch_add(1, std::memory_order_relaxed);
@@ -733,14 +677,31 @@ Result<int64_t> KvStore::Put(const std::string& key, std::string value,
       live_bytes_.fetch_add(blob.size(), std::memory_order_relaxed);
       live_bytes_.fetch_sub(cur->entry.value.size(), std::memory_order_relaxed);
     }
-    IndexNode* displaced = sh.index.Upsert(n);
+    IndexNode* displaced;
+    {
+      // Mint only after every precondition passed: failed writes consume no
+      // revision, keeping the stream dense. The index change lands before
+      // published_ advances, so a lock-free Get sees every revision at or
+      // below CurrentRevision().
+      std::lock_guard<std::mutex> ll(log_mu_);
+      rev = published_.load(std::memory_order_relaxed) + 1;
+      e.revision = rev;
+      n->entry.mod_revision = rev;
+      if (cur == nullptr) n->entry.create_revision = rev;
+      displaced = sh.index.Upsert(n);
+      PublishLocked(std::move(e));
+    }
+    // Stamped under the shard lock: commits of one shard trace in revision
+    // order, which the checker's per-shard monotonicity pass asserts
+    // (arg = shard).
+    trace::Emit(trace::Component::kKv, trace::Verb::kPut, trace::CurrentTraceId(), rev,
+                key, shard);
     if (it == sh.keys.end()) {
       sh.keys.emplace(key, n);
     } else {
       it->second = n;
     }
     if (displaced != nullptr) sh.limbo.Retire(displaced, &FreeIndexNode);
-    Publish(std::move(e));
   }
   KickDispatch();
   MaybeFlushWal();
@@ -770,21 +731,26 @@ Result<int64_t> KvStore::Delete(const std::string& key,
                                      static_cast<long long>(cur->entry.mod_revision),
                                      static_cast<long long>(*expected_mod_revision)));
     }
-    rev = revision_.fetch_add(1, std::memory_order_seq_cst) + 1;
     Event e;
     e.type = EventType::kDelete;
     e.key = key;
     e.prev_value = cur->entry.value;
-    e.revision = rev;
     e.trace = trace::CurrentTraceId();
-    trace::Emit(trace::Component::kKv, trace::Verb::kDelete, e.trace, rev, key, shard);
     live_bytes_.fetch_sub(key.size() + cur->entry.value.size(),
                           std::memory_order_relaxed);
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
-    IndexNode* unlinked = sh.index.Erase(key, h);
+    IndexNode* unlinked;
+    {
+      std::lock_guard<std::mutex> ll(log_mu_);  // as in Put
+      rev = published_.load(std::memory_order_relaxed) + 1;
+      e.revision = rev;
+      unlinked = sh.index.Erase(key, h);
+      PublishLocked(std::move(e));
+    }
+    trace::Emit(trace::Component::kKv, trace::Verb::kDelete, trace::CurrentTraceId(), rev,
+                key, shard);
     sh.keys.erase(it);
     if (unlinked != nullptr) sh.limbo.Retire(unlinked, &FreeIndexNode);
-    Publish(std::move(e));
   }
   KickDispatch();
   MaybeFlushWal();
@@ -823,10 +789,9 @@ ListResult KvStore::List(const std::string& prefix) const {
 ListResult KvStore::List(const std::string& prefix, size_t limit,
                          const std::string& start_after) const {
   // Revision fence: hold every shard lock shared (fixed order, so fence
-  // takers never deadlock each other). A writer publishes while holding its
-  // shard lock exclusive, so with the full fence held nobody is mid-commit:
-  // published_ == revision_ and the k-way merge below is the exact state at
-  // that revision.
+  // takers never deadlock each other). A writer commits while holding its
+  // shard lock exclusive, so with the full fence held nobody is mid-commit
+  // and the k-way merge below is the exact state at published_.
   std::array<std::shared_lock<std::shared_mutex>, kShards> fence;
   for (size_t i = 0; i < kShards; ++i) {
     fence[i] = std::shared_lock<std::shared_mutex>(shards_[i].mu);
@@ -891,7 +856,7 @@ Result<std::shared_ptr<WatchChannel>> KvStore::Watch(const std::string& prefix,
                                                      WatchParams params) {
   std::shared_ptr<WatchChannel> ch;
   {
-    // log_mu_ blocks publication, freezing the fence: every event <=
+    // log_mu_ blocks commits, freezing the fence: every event <=
     // published_ is in log_ (or compacted), and every later commit enqueues
     // its dispatch command AFTER this registration. The strand therefore
     // replays (from_revision, published_] exactly once and live events
@@ -959,9 +924,9 @@ void KvStore::Shutdown() {
     FlushWatchDispatch();
     return;
   }
-  // Barrier: an in-flight writer holds its shard lock through publication,
-  // so after sweeping every shard exclusively no commit is mid-flight and
-  // all minted revisions are published. New writers observed shutdown_.
+  // Barrier: an in-flight writer holds its shard lock through its commit,
+  // so after sweeping every shard exclusively no commit is mid-flight. New
+  // writers observed shutdown_.
   for (Shard& sh : shards_) {
     sh.mu.lock();
     sh.mu.unlock();

@@ -22,20 +22,21 @@
 // Hot-path structure (DESIGN.md §12):
 //   * The keyspace is sharded 16 ways by FNV-1a of the key (the same split
 //     ServerStats::BumpIdentity uses). Each shard has its own mutex, sorted
-//     map, and lock-free hash index, so writers to different shards never
-//     contend on a lock.
-//   * Revisions are minted from one atomic counter under the owning shard's
-//     lock; a *publication sequencer* then admits commits into the global
-//     replay log / watch dispatch queue strictly in revision order, so the
-//     watch no-gap/no-dup and commit-monotonicity contracts survive
-//     concurrent multi-shard writers. `CurrentRevision()` (alias
-//     `RevisionFence()`) returns the published watermark: every revision at
+//     map, and lock-free hash index, so writers to different shards share
+//     no lock outside the short commit section below.
+//   * A commit checks its preconditions under the owning shard's lock, then
+//     takes the one commit lock (log_mu_) to mint the next revision, update
+//     the shard's hash index, append to the replay log / WAL / watch
+//     dispatch queue, and advance the published revision — so the log is in
+//     revision order by construction, and the watch no-gap/no-dup and
+//     commit-monotonicity contracts survive concurrent multi-shard writers.
+//     `CurrentRevision()` returns that published revision: every revision at
 //     or below it is fully visible to Get/List/Watch.
 //   * Get is lock-free: it walks the shard's immutable-node hash index under
 //     an epoch-based read guard (kv/epoch.h) and never touches a shard
 //     mutex. Cross-shard List takes every shard lock shared (a revision
-//     fence: no writer is mid-commit, so published == minted) and k-way
-//     merges the per-shard sorted maps into one consistent snapshot.
+//     fence: no writer is mid-commit) and k-way merges the per-shard sorted
+//     maps into one consistent snapshot.
 //   * Values are shared blobs (`Blob` = shared_ptr<const string>): Get, List
 //     snapshots, watch events, the replay log, and the WAL all alias one
 //     allocation instead of deep-copying under a lock.
@@ -46,7 +47,7 @@
 //     no-gap/no-dup replay contract (registration commands are sequenced
 //     through the same queue, with replay captured under the log lock).
 //   * Durability is opt-in (`Options::wal_dir`): committed events append to a
-//     write-ahead log in publication order (sharing the same Blob
+//     write-ahead log in revision order (sharing the same Blob
 //     allocations, flushed in byte-bounded batches or per-commit), with
 //     atomic snapshot checkpoints truncating the log. A store constructed
 //     over an existing wal_dir restores snapshot + WAL byte-exact, with its
@@ -227,10 +228,10 @@ struct WatchParams {
 // displaced or erased node is RETURNED to the caller, who must retire it into
 // the shard's LimboList rather than deleting it (a reader may still hold it).
 //
-// The bucket count is fixed at construction (no rehash): the sorted map keeps
-// stable IndexNode pointers, and chains degrade gracefully — O(n/buckets) —
-// instead of paying a stop-the-world clone. Internal to KvStore; exposed at
-// namespace scope for tests.
+// The bucket count is fixed (no rehash): the sorted map keeps stable
+// IndexNode pointers, and chains degrade gracefully — O(n/buckets) — instead
+// of paying a stop-the-world clone. Internal to KvStore (a Shard holds one by
+// value, hence the header).
 struct IndexNode {
   std::atomic<IndexNode*> next{nullptr};
   uint64_t hash = 0;
@@ -239,13 +240,12 @@ struct IndexNode {
 
 class ShardIndex {
  public:
+  // Power of two. The bucket array is allocated lazily on the first Upsert so
+  // idle stores (hibernated tenants) stay cheap.
+  static constexpr size_t kBuckets = 256;
+
   ShardIndex() = default;
   ~ShardIndex();
-
-  // Sets the bucket count (rounded up to a power of two). Called once before
-  // any concurrent use; the bucket array itself is allocated lazily on the
-  // first Upsert so idle stores (hibernated tenants) stay cheap.
-  void Configure(size_t buckets);
 
   ShardIndex(const ShardIndex&) = delete;
   ShardIndex& operator=(const ShardIndex&) = delete;
@@ -262,15 +262,14 @@ class ShardIndex {
  private:
   std::atomic<IndexNode*>* EnsureBuckets();
 
-  size_t mask_ = 0;
   // Published on first write; readers that observe null see an empty shard.
   std::atomic<std::atomic<IndexNode*>*> buckets_{nullptr};
 };
 
 class KvStore {
  public:
-  // Keyspace shards; writers to different shards share no lock. Matches the
-  // ServerStats::BumpIdentity split.
+  // Keyspace shards; writers to different shards share only the commit lock.
+  // Matches the ServerStats::BumpIdentity split.
   static constexpr size_t kShards = 16;
 
   struct Options {
@@ -287,11 +286,6 @@ class KvStore {
     // Executor hosting the watch-dispatch strand. nullptr → the process-wide
     // default executor.
     std::shared_ptr<Executor> executor;
-
-    // Buckets per shard in the lock-free Get index (rounded to a power of
-    // two; fixed for the store's lifetime — chains grow past ~this many
-    // entries per shard but never stop the world to rehash).
-    size_t index_buckets_per_shard = 256;
 
     // ---- durability (empty wal_dir = in-memory store, the default) ----
     // Directory for the write-ahead log + snapshot; created if missing. The
@@ -349,14 +343,9 @@ class KvStore {
   ListResult List(const std::string& prefix, size_t limit,
                   const std::string& start_after) const;
 
-  // The published watermark: every revision <= this value is fully visible
-  // to Get/List/Watch replay. Lock-free.
+  // The latest published revision: every revision <= this value is fully
+  // visible to Get/List/Watch replay. Lock-free.
   int64_t CurrentRevision() const;
-  // Alias of CurrentRevision() under the name read paths should use when
-  // they mean "the freshness fence I must serve at or after" (WatchCache
-  // WaitFresh targets). Distinct from the minted counter, which may be ahead
-  // while a commit is between minting and publication.
-  int64_t RevisionFence() const { return CurrentRevision(); }
   int64_t CompactedRevision() const;
 
   // Begin watching keys under `prefix` for events with revision >
@@ -463,16 +452,11 @@ class KvStore {
 
   size_t ShardOf(uint64_t hash) const { return hash % kShards; }
 
-  // Commit publication: called with the owning shard's lock held exclusive
-  // and revision `e.revision` freshly minted. Waits for every earlier
-  // revision to publish, appends to the replay log + WAL + dispatch queue,
-  // and advances the published watermark. On return the write is globally
-  // visible (read-your-write holds).
-  void Publish(Event e);
-  void AwaitPublishTurn(int64_t rev);
-
-  // Log append + trim + conditional dispatch enqueue; log_mu_ held.
-  void AppendLogLocked(Event e);
+  // Commit tail; log_mu_ held, `e.revision` minted and the shard index
+  // already updated. Appends to the WAL batch, the replay log (trimming it)
+  // and, if anyone listens, the dispatch queue, then advances published_.
+  // From here the write is globally visible (read-your-write holds).
+  void PublishLocked(Event e);
   void TrimLogLocked();
   // Enqueues cmd (requires log_mu_ held, so queue order == revision order)
   // without kicking the strand; call KickDispatch() after unlocking.
@@ -493,8 +477,8 @@ class KvStore {
   // Applies one replayed mutation directly to shard state (no events, no
   // publication) during recovery.
   void ApplyRecovered(const wal::Record& rec);
-  // Encodes `e` into the pending WAL batch; log_mu_ held (publication order
-  // == batch order).
+  // Encodes `e` into the pending WAL batch; log_mu_ held (revision order ==
+  // batch order).
   void AppendWalLocked(const Event& e);
   // Post-commit flush policy: sync mode flushes every commit, buffered mode
   // flushes when the pending batch exceeds wal_buffer_bytes. Called with NO
@@ -507,25 +491,16 @@ class KvStore {
   // Shards, fixed for the store's lifetime.
   std::array<Shard, kShards> shards_;
 
-  // Minted revision counter (fetch_add under a shard lock) and the published
-  // watermark trailing it. revision_ == published_ whenever no writer is
-  // inside its commit critical section.
-  std::atomic<int64_t> revision_{0};
+  // The store revision. A commit mints published_ + 1 and stores it, both
+  // under log_mu_; CurrentRevision() reads it lock-free.
   std::atomic<int64_t> published_{0};
   std::atomic<int64_t> compacted_{0};
   std::atomic<bool> shutdown_{false};
 
-  // Publication sequencer waiters: a writer whose predecessor revision has
-  // not yet published spins briefly, then waits on pub_cv_. Publishers only
-  // take pub_mu_ when pub_waiters_ shows someone is parked.
-  std::mutex pub_mu_;
-  std::condition_variable pub_cv_;
-  std::atomic<int> pub_waiters_{0};
-
-  // The global replay log, in publication (= revision) order. Guarded by
-  // log_mu_ — a single short critical section per commit, after per-shard
-  // work is done. Watch registration also runs under log_mu_, which blocks
-  // publication and thereby freezes the fence for an exact replay splice.
+  // The commit lock. Every commit takes it once, inside its shard lock, to
+  // mint its revision and publish it, so the replay log below is in revision
+  // order. Watch registration also runs under log_mu_, which blocks commits
+  // and thereby freezes published_ for an exact replay splice.
   mutable std::mutex log_mu_;
   std::deque<Event> log_;  // events with revision in (compacted_, published_]
   const size_t max_log_events_;
@@ -535,7 +510,6 @@ class KvStore {
   std::atomic<size_t> live_bytes_{0};
   std::atomic<size_t> entry_count_{0};
 
-  const size_t index_buckets_;
   std::shared_ptr<Executor> executor_;
 
   // ---- durability state ----
@@ -546,7 +520,7 @@ class KvStore {
   // True while records should be logged; cleared by TestAbandonWal and on
   // unrecoverable setup errors. Relaxed reads on the commit path.
   std::atomic<bool> wal_active_{false};
-  // Pending records, appended under log_mu_ (publication order) holding the
+  // Pending records, appended under log_mu_ (revision order) holding the
   // committed Blobs by reference — no byte copy on the commit path; encoding
   // happens at flush time under wal_io_mu_. wal_pending_bytes_ is read
   // without log_mu_ by MaybeFlushWal (approximate trigger), hence atomic.
@@ -559,7 +533,7 @@ class KvStore {
   Status wal_health_;                 // guarded by wal_io_mu_
   uint64_t wal_checkpoints_ = 0;      // guarded by wal_io_mu_
 
-  // Dispatch queue. Publishers push under log_mu_ + pend_mu_; the strand
+  // Dispatch queue. Commits push under log_mu_ + pend_mu_; the strand
   // pops under pend_mu_ alone. dispatch_active_ is true while a strand task
   // is scheduled or running — at most one at a time.
   std::mutex pend_mu_;

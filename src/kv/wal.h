@@ -9,8 +9,8 @@
 //   record* u32 payload_len | payload | u32 crc32(payload)
 //   payload u8 type (1=put 2=delete) | i64 revision | u32 klen | u32 vlen
 //           | key bytes | value bytes
-// Records are strictly revision-ordered (the store appends them under the
-// publication sequencer). Recovery reads until EOF, a short read, or a CRC
+// Records are strictly revision-ordered (the store mints each revision and
+// appends its record under one commit lock). Recovery reads until EOF, a short read, or a CRC
 // mismatch — everything after the first damaged record is a torn tail from a
 // crash mid-write and is discarded, making the recovered state an exact
 // prefix of the committed history.

@@ -118,6 +118,33 @@ TEST(ReadPathTest, MalformedContinueTokenIsInvalidArgument) {
   }
 }
 
+TEST(ReadPathTest, ForeignContinueKeyIsInvalidArgument) {
+  // A token whose key lies outside the List's prefix must not page at all:
+  // the store would start every shard past that key and stop at the first
+  // key outside the prefix, answering a silent empty page.
+  APIServer server({});
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(server.Create(SimplePod("kube-system", "pod-" + std::to_string(i))).ok());
+  }
+  const int64_t rev = server.store().CurrentRevision();
+  for (const char* foreign : {"/registry/Pod/default/pod-1", "/registry/Service/kube-system/a"}) {
+    ListOptions opts;
+    opts.ns = "kube-system";
+    opts.limit = 100;
+    opts.continue_token = APIServer::MakeContinueToken(rev, foreign);
+    EXPECT_EQ(server.List<Pod>(opts).status().code(), Code::kInvalidArgument)
+        << "key: " << foreign;
+  }
+  // The same revision with a key under the prefix still pages normally.
+  ListOptions opts;
+  opts.ns = "kube-system";
+  opts.limit = 100;
+  opts.continue_token = APIServer::MakeContinueToken(rev, "/registry/Pod/kube-system/pod-1");
+  Result<TypedList<Pod>> page = server.List<Pod>(opts);
+  ASSERT_TRUE(page.ok()) << page.status();
+  EXPECT_FALSE(page->items.empty());
+}
+
 // -------------------------------------------------------------- selectors
 
 TEST(ReadPathTest, LabelSelectorFiltersAndPaginates) {

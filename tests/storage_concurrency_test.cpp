@@ -5,6 +5,7 @@
 // assertions sample — the run is linearizable-proven, not just race-free.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -258,6 +259,48 @@ TEST(StorageConcurrencyTest, ListFenceNeverSplitsDependentWrites) {
   writer.join();
   stop.store(true, std::memory_order_relaxed);
   for (auto& th : listers) th.join();
+  store.FlushWatchDispatch();
+  trace::CheckOptions copts;
+  copts.single_store = true;
+  ExpectCertified(copts);
+}
+
+// CurrentRevision() is a visibility fence for the lock-free Get: a commit
+// updates its shard's hash index before the store revision advances, so once
+// a reader observes revision r, every key committed at or below r is found.
+// One writer puts /vis/k<i> at revision i; readers Get every key up to each
+// revision they observe, the newest one first.
+TEST(StorageConcurrencyTest, CurrentRevisionCoversLockFreeGets) {
+  trace::Reset();
+  KvStore store;
+  constexpr int kKeys = 5000;
+  constexpr int kReaders = 2;
+  auto key = [](int64_t i) { return "/vis/k" + std::to_string(i); };
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      started.fetch_add(1);
+      int64_t checked = 0;
+      while (checked < kKeys && !stop.load(std::memory_order_relaxed)) {
+        const int64_t rev = store.CurrentRevision();
+        for (int64_t j = rev; j > checked; --j) {
+          Result<Entry> e = store.Get(key(j));
+          ASSERT_TRUE(e.ok()) << key(j) << " missing at revision " << rev;
+          ASSERT_EQ(e->mod_revision, j);
+        }
+        checked = std::max(checked, rev);
+      }
+    });
+  }
+  while (started.load() < kReaders) std::this_thread::yield();
+  for (int64_t i = 1; i <= kKeys; ++i) {
+    Result<int64_t> rev = store.Put(key(i), "v");
+    EXPECT_TRUE(rev.ok() && *rev == i) << "put " << i << ": " << rev.status();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : readers) th.join();
   store.FlushWatchDispatch();
   trace::CheckOptions copts;
   copts.single_store = true;
