@@ -1,10 +1,9 @@
 // CRD extension walkthrough (paper §V future work, implemented): the super
-// cluster offers an AI gang-scheduler plugin driven by a GpuJob CRD; the
-// CrdSyncer makes the capability available to tenants with zero changes to
-// their tooling.
+// cluster offers an AI gang-scheduler plugin driven by a GpuJob CRD; one
+// SyncKind<GpuJob>() call on the syncer makes the capability available to
+// tenants with zero changes to their tooling.
 #include <cstdio>
 
-#include "vc/crd_sync.h"
 #include "vc/crds.h"
 #include "vc/deployment.h"
 
@@ -16,6 +15,10 @@ int main() {
   opts.downward_op_cost = Millis(1);
   opts.upward_op_cost = Millis(1);
   core::VcDeployment deploy(std::move(opts));
+  // Without this the tenant's GpuJobs would sit in its own control plane,
+  // invisible to the plugin. A kind joins the syncer before it starts.
+  if (!deploy.syncer().SyncKind<core::GpuJob>().ok()) return 1;
+  std::printf("syncer: GpuJob registered as a synchronized kind\n");
   if (!deploy.Start().ok()) return 1;
   deploy.WaitForSync(Seconds(30));
 
@@ -30,18 +33,6 @@ int main() {
 
   auto tenant = deploy.CreateTenant("ml-team");
   if (!tenant.ok()) return 1;
-
-  // Without the CRD syncer the tenant's GpuJobs would sit in its own control
-  // plane, invisible to the plugin. Wire it up:
-  core::CrdSyncer<core::GpuJob>::Options co;
-  co.super_server = &deploy.super().server();
-  core::CrdSyncer<core::GpuJob> crd_syncer(co);
-  Result<core::VirtualClusterObj> vc_obj =
-      deploy.super().server().Get<core::VirtualClusterObj>("default", "ml-team");
-  crd_syncer.AttachTenant(*vc_obj, tenant->get());
-  crd_syncer.Start();
-  crd_syncer.WaitForSync(Seconds(10));
-  std::printf("CrdSyncer<GpuJob> attached for tenant ml-team\n\n");
 
   // The tenant submits training jobs with ordinary tooling.
   core::TenantClient kubectl(tenant->get());
@@ -74,7 +65,6 @@ int main() {
   std::printf("\nafter train-0 finished: train-2 phase=%s (admitted from the queue)\n",
               third.ok() ? third->phase.c_str() : "?");
 
-  crd_syncer.Stop();
   plugin.Stop();
   deploy.Stop();
   return 0;

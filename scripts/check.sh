@@ -27,10 +27,11 @@ case "${1:-default}" in
   default)
     run_preset default
     # The common/executor/kv_durability/fairqueue/dispatch/storage/trace/
-    # runtime/syncer/scheduler/kubelet suites carry the `concurrency` label;
-    # any data race in the shared executor stack, the storage fan-out, or the
-    # reconciler runtime (which every control loop runs on, the scheduler and
-    # the kubelets included) is a hard failure. The storage/dispatch suites
+    # runtime/syncer/futurework/scheduler/kubelet suites carry the
+    # `concurrency` label; any data race in the shared executor stack, the
+    # storage fan-out, or the reconciler runtime (which every control loop
+    # runs on: the scheduler, the kubelets, and the syncer for every kind,
+    # custom resources included) is a hard failure. The storage/dispatch suites
     # also drain the vc::trace history and have the checker certify ordering
     # (no-gap/no-dup, read-your-write, span pairing) on the tsan-interleaved
     # runs.

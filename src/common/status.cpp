@@ -16,6 +16,7 @@ std::string_view CodeName(Code c) {
     case Code::kTimeout: return "Timeout";
     case Code::kUnavailable: return "Unavailable";
     case Code::kAborted: return "Aborted";
+    case Code::kFailedPrecondition: return "FailedPrecondition";
     case Code::kInternal: return "Internal";
   }
   return "Unknown";
@@ -45,6 +46,9 @@ Status TooManyRequestsError(std::string_view m) { return {Code::kTooManyRequests
 Status TimeoutError(std::string_view m) { return {Code::kTimeout, std::string(m)}; }
 Status UnavailableError(std::string_view m) { return {Code::kUnavailable, std::string(m)}; }
 Status AbortedError(std::string_view m) { return {Code::kAborted, std::string(m)}; }
+Status FailedPreconditionError(std::string_view m) {
+  return {Code::kFailedPrecondition, std::string(m)};
+}
 Status InternalError(std::string_view m) { return {Code::kInternal, std::string(m)}; }
 
 }  // namespace vc

@@ -30,6 +30,7 @@ enum class Code {
   kTimeout,          // 504: deadline exceeded
   kUnavailable,      // 503: server shutting down / not ready
   kAborted,          // operation aborted (e.g. watch cancelled)
+  kFailedPrecondition,  // call not allowed in the callee's current state
   kInternal,         // invariant violation
 };
 
@@ -76,6 +77,7 @@ Status TooManyRequestsError(std::string_view msg);
 Status TimeoutError(std::string_view msg);
 Status UnavailableError(std::string_view msg);
 Status AbortedError(std::string_view msg);
+Status FailedPreconditionError(std::string_view msg);
 Status InternalError(std::string_view msg);
 
 // Result<T>: either a T or a non-OK Status. Analogous to absl::StatusOr.

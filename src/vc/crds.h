@@ -5,9 +5,10 @@
 // starts to synchronize the required CRD").
 //
 // GpuJob models such an AI-workload CRD: the tenant declares the job in its
-// control plane; the CrdSyncer copies it to the super cluster where an
-// extended scheduler plugin (here: core::GpuJobPlugin, a stand-in for
-// a gang scheduler) admits it and drives its status, which syncs back up.
+// control plane; the syncer (Syncer::SyncKind<GpuJob>()) copies it to the
+// super cluster where an extended scheduler plugin (here: core::GpuJobPlugin,
+// a stand-in for a gang scheduler) admits it and drives its status, which
+// syncs back up.
 #pragma once
 
 #include <atomic>
@@ -44,8 +45,9 @@ struct GpuJob {
     j.scheduler_message.clear();
   }
 
-  // CRD hook consumed by CrdSyncer's upward path: copy the super-owned
-  // fields back into the tenant object; returns true if anything changed.
+  // CRD hook consumed by the syncer: copies the super-owned fields up into
+  // the tenant object, and keeps them on the shadow across a downward
+  // update; returns true if anything changed.
   static bool CopyStatus(const GpuJob& from, GpuJob& to) {
     if (to.phase == from.phase && to.ready_replicas == from.ready_replicas &&
         to.scheduler_message == from.scheduler_message) {
@@ -63,7 +65,7 @@ struct GpuJob {
 // A stand-in for the super cluster's extended scheduler plugin (gang
 // scheduler for AI jobs): admits pending GpuJobs, simulates gang placement,
 // and drives them to Running — the capability a tenant can only use once the
-// CrdSyncer ships the CRD down (paper §V).
+// syncer ships the CRD down (paper §V).
 class GpuJobPlugin {
  public:
   struct Options {

@@ -12,6 +12,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "api/codec.h"
 #include "api/types.h"
@@ -166,6 +167,32 @@ std::string DownwardFingerprint(const T& obj) {
     T::ClearSuperOwned(norm);
   }
   return api::Encode(norm);
+}
+
+// Whether `shadow` mirrors the tenant object that `desired` (its ToSuper)
+// was built from: the same origin uid — a tenant object recreated under the
+// same name has a new uid, and the old shadow must not pass for it — and
+// equal downward fingerprints. A shadow without an origin uid matches any
+// object. Namespaces compare by fingerprint only: deleting a super namespace
+// cascades to everything in it, and the syncer creates namespace shadows
+// without a uid.
+template <typename T>
+bool SameOrigin(const T& shadow, const T& desired) {
+  if constexpr (std::is_same_v<T, api::NamespaceObj>) {
+    return true;
+  } else {
+    auto uid = [](const T& obj) -> std::string_view {
+      auto it = obj.meta.annotations.find(kOriginUidAnnotation);
+      return it == obj.meta.annotations.end() ? std::string_view() : it->second;
+    };
+    return uid(shadow).empty() || uid(shadow) == uid(desired);
+  }
+}
+
+template <typename T>
+bool ShadowMatches(const T& shadow, const T& desired) {
+  return SameOrigin(shadow, desired) &&
+         DownwardFingerprint(shadow) == DownwardFingerprint(desired);
 }
 
 // Reads origin annotations from a super-cluster shadow object. Returns false

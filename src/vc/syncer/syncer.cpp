@@ -14,26 +14,12 @@ std::pair<std::string, std::string> SplitKind(const std::string& queue_key) {
   return {queue_key.substr(0, bar), queue_key.substr(bar + 1)};
 }
 
-std::pair<std::string, std::string> SplitNsName(const std::string& key) {
-  size_t slash = key.find('/');
-  if (slash == std::string::npos) return {"", key};
-  return {key.substr(0, slash), key.substr(slash + 1)};
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- construction
 
 std::shared_ptr<void> Syncer::CpuToken() {
   return std::make_shared<CpuTimeGroup::Member>(&cpu_);
-}
-
-template <typename T>
-typename client::SharedInformer<T>::Options Syncer::InformerOptions() {
-  typename client::SharedInformer<T>::Options o;
-  o.clock = opts_.clock;
-  o.thread_hook = [this] { return CpuToken(); };
-  return o;
 }
 
 Syncer::Syncer(Options opts)
@@ -73,41 +59,23 @@ Syncer::Syncer(Options opts)
         UpwardReconcile(item, std::move(done));
       });
 
-  apiserver::APIServer* super = opts_.super_server;
+  // Unfiltered: physical Node objects carry no tenant label.
+  super_nodes_ = std::make_unique<InformerOf<api::Node>>(
+      client::ListerWatcher<api::Node>(opts_.super_server, "",
+                                       apiserver::RequestContext::System("syncer")),
+      InformerOptions<api::Node>());
 
-  const apiserver::RequestContext ctx = apiserver::RequestContext::System("syncer");
-
-  // Super-cluster reflectors for the synchronized kinds select only tenant
-  // shadows (stamped with kTenantLabel by ToSuper) SERVER-side: the super
-  // apiserver never decodes, transfers, or caches its non-tenant objects for
-  // the syncer, instead of the syncer filtering via OriginOf after paying the
-  // full list cost. Bookmarks keep these mostly-idle watches resumable across
-  // compactions. The node reflector stays unfiltered — physical Node objects
-  // carry no tenant label.
-  auto tenant_scoped = [&](auto kind_tag) {
-    using Kind = decltype(kind_tag);
-    client::ReflectorOptions<Kind> ro;
-    ro.label_selector = kTenantLabel;  // bare key = Exists
-    return client::ListerWatcher<Kind>(super, std::move(ro), ctx);
-  };
-
-  super_pods_ = std::make_unique<client::SharedInformer<api::Pod>>(
-      tenant_scoped(api::Pod{}), InformerOptions<api::Pod>());
-  super_namespaces_ = std::make_unique<client::SharedInformer<api::NamespaceObj>>(
-      tenant_scoped(api::NamespaceObj{}), InformerOptions<api::NamespaceObj>());
-  super_services_ = std::make_unique<client::SharedInformer<api::Service>>(
-      tenant_scoped(api::Service{}), InformerOptions<api::Service>());
-  super_secrets_ = std::make_unique<client::SharedInformer<api::Secret>>(
-      tenant_scoped(api::Secret{}), InformerOptions<api::Secret>());
-  super_configmaps_ = std::make_unique<client::SharedInformer<api::ConfigMap>>(
-      tenant_scoped(api::ConfigMap{}), InformerOptions<api::ConfigMap>());
-  super_serviceaccounts_ = std::make_unique<client::SharedInformer<api::ServiceAccount>>(
-      tenant_scoped(api::ServiceAccount{}), InformerOptions<api::ServiceAccount>());
-  super_pvcs_ = std::make_unique<client::SharedInformer<api::PersistentVolumeClaim>>(
-      tenant_scoped(api::PersistentVolumeClaim{}),
-      InformerOptions<api::PersistentVolumeClaim>());
-  super_nodes_ = std::make_unique<client::SharedInformer<api::Node>>(
-      client::ListerWatcher<api::Node>(super, "", ctx), InformerOptions<api::Node>());
+  // The built-in kinds: the tenant objects used in Pod provision (§III-B (2)).
+  (void)SyncKind<api::NamespaceObj>();
+  (void)SyncKind<api::Pod>();
+  (void)SyncKind<api::Service>();
+  (void)SyncKind<api::Secret>();
+  (void)SyncKind<api::ConfigMap>();
+  (void)SyncKind<api::ServiceAccount>();
+  (void)SyncKind<api::PersistentVolumeClaim>();
+  pods_ = static_cast<KindOf<api::Pod>*>(kind_by_name_.at(api::Pod::kKind));
+  namespaces_ = static_cast<KindOf<api::NamespaceObj>*>(
+      kind_by_name_.at(api::NamespaceObj::kKind));
 
   // Upward path: super pod events drive status back-population and vNode
   // lifecycle. Tenant identity rides on the shadow's annotations.
@@ -146,7 +114,7 @@ Syncer::Syncer(Options opts)
       upward_->Enqueue(origin->tenant_id, "PodGone|" + key);
     }
   };
-  super_pods_->AddHandlers(std::move(up));
+  pods_->Super().AddHandlers(std::move(up));
 
   // The reconcilers publish their own uniform runtime blocks; this block adds
   // the syncer-specific counters and the Fig. 8 phase histograms.
@@ -182,50 +150,6 @@ Syncer::Syncer(Options opts)
 
 Syncer::~Syncer() { Stop(); }
 
-// --------------------------------------------------------- informer lookup
-
-template <typename T>
-client::SharedInformer<T>* Syncer::TenantInformer(TenantState& ts) {
-  if constexpr (std::is_same_v<T, api::Pod>) return ts.pods.get();
-  else if constexpr (std::is_same_v<T, api::NamespaceObj>) return ts.namespaces.get();
-  else if constexpr (std::is_same_v<T, api::Service>) return ts.services.get();
-  else if constexpr (std::is_same_v<T, api::Secret>) return ts.secrets.get();
-  else if constexpr (std::is_same_v<T, api::ConfigMap>) return ts.configmaps.get();
-  else if constexpr (std::is_same_v<T, api::ServiceAccount>) return ts.serviceaccounts.get();
-  else if constexpr (std::is_same_v<T, api::PersistentVolumeClaim>) return ts.pvcs.get();
-  else return nullptr;
-}
-
-template <typename T>
-client::SharedInformer<T>* Syncer::SuperInformer() {
-  if constexpr (std::is_same_v<T, api::Pod>) return super_pods_.get();
-  else if constexpr (std::is_same_v<T, api::NamespaceObj>) return super_namespaces_.get();
-  else if constexpr (std::is_same_v<T, api::Service>) return super_services_.get();
-  else if constexpr (std::is_same_v<T, api::Secret>) return super_secrets_.get();
-  else if constexpr (std::is_same_v<T, api::ConfigMap>) return super_configmaps_.get();
-  else if constexpr (std::is_same_v<T, api::ServiceAccount>)
-    return super_serviceaccounts_.get();
-  else if constexpr (std::is_same_v<T, api::PersistentVolumeClaim>)
-    return super_pvcs_.get();
-  else return nullptr;
-}
-
-template <typename T>
-void Syncer::WireTenantHandlers(TenantState& ts, client::SharedInformer<T>* informer) {
-  const std::string tenant = ts.map.tenant_id;
-  client::EventHandlers<T> h;
-  h.on_add = [this, tenant](const T& obj) {
-    downward_->Enqueue(tenant, std::string(T::kKind) + "|" + obj.meta.FullName());
-  };
-  h.on_update = [this, tenant](const T&, const T& obj) {
-    downward_->Enqueue(tenant, std::string(T::kKind) + "|" + obj.meta.FullName());
-  };
-  h.on_delete = [this, tenant](const T& obj) {
-    downward_->Enqueue(tenant, std::string(T::kKind) + "|" + obj.meta.FullName());
-  };
-  informer->AddHandlers(std::move(h));
-}
-
 // ------------------------------------------------------------ tenant attach
 
 void Syncer::AttachTenant(const VirtualClusterObj& vc, TenantControlPlane* tcp) {
@@ -233,31 +157,11 @@ void Syncer::AttachTenant(const VirtualClusterObj& vc, TenantControlPlane* tcp) 
   ts->map = TenantMapping::ForVc(vc.meta.name, vc.meta.uid);
   ts->tcp = tcp;
   ts->weight = std::max(1, vc.weight);
-  apiserver::APIServer* server = &tcp->server();
-  const apiserver::RequestContext ctx = apiserver::RequestContext::System("syncer");
-
-  ts->pods = std::make_unique<client::SharedInformer<api::Pod>>(
-      client::ListerWatcher<api::Pod>(server, "", ctx), InformerOptions<api::Pod>());
-  ts->namespaces = std::make_unique<client::SharedInformer<api::NamespaceObj>>(
-      client::ListerWatcher<api::NamespaceObj>(server, "", ctx),
-      InformerOptions<api::NamespaceObj>());
-  ts->services = std::make_unique<client::SharedInformer<api::Service>>(
-      client::ListerWatcher<api::Service>(server, "", ctx),
-      InformerOptions<api::Service>());
-  ts->secrets = std::make_unique<client::SharedInformer<api::Secret>>(
-      client::ListerWatcher<api::Secret>(server, "", ctx),
-      InformerOptions<api::Secret>());
-  ts->configmaps = std::make_unique<client::SharedInformer<api::ConfigMap>>(
-      client::ListerWatcher<api::ConfigMap>(server, "", ctx),
-      InformerOptions<api::ConfigMap>());
-  ts->serviceaccounts = std::make_unique<client::SharedInformer<api::ServiceAccount>>(
-      client::ListerWatcher<api::ServiceAccount>(server, "", ctx),
-      InformerOptions<api::ServiceAccount>());
-  ts->pvcs = std::make_unique<client::SharedInformer<api::PersistentVolumeClaim>>(
-      client::ListerWatcher<api::PersistentVolumeClaim>(server, "", ctx),
-      InformerOptions<api::PersistentVolumeClaim>());
-
-  WireTenantHandlers(*ts, ts->pods.get());
+  {
+    std::lock_guard<std::mutex> l(tenants_mu_);
+    kinds_frozen_ = true;
+  }
+  for (const auto& kind : kinds_) ts->informers.push_back(kind->WatchTenant(*ts));
   // Upward sync judges "no change" on this informer's copy of the tenant
   // Pod, so a newer tenant version whose status or nodeName moved must re-run
   // it (DESIGN.md §8.1) — e.g. a foreign status write that diverges from the
@@ -272,14 +176,8 @@ void Syncer::AttachTenant(const VirtualClusterObj& vc, TenantControlPlane* tcp) 
       upward_->Enqueue(map.tenant_id,
                        "Pod|" + map.SuperNamespace(new_pod.meta.ns) + "/" + new_pod.meta.name);
     };
-    ts->pods->AddHandlers(std::move(up));
+    pods_->Tenant(*ts).AddHandlers(std::move(up));
   }
-  WireTenantHandlers(*ts, ts->namespaces.get());
-  WireTenantHandlers(*ts, ts->services.get());
-  WireTenantHandlers(*ts, ts->secrets.get());
-  WireTenantHandlers(*ts, ts->configmaps.get());
-  WireTenantHandlers(*ts, ts->serviceaccounts.get());
-  WireTenantHandlers(*ts, ts->pvcs.get());
 
   downward_->RegisterTenant(ts->map.tenant_id, ts->weight);
   bool start_now;
@@ -289,16 +187,7 @@ void Syncer::AttachTenant(const VirtualClusterObj& vc, TenantControlPlane* tcp) 
     prefix_to_tenant_[ts->map.ns_prefix + "-"] = ts->map.tenant_id;
     start_now = started_.load();
   }
-  if (start_now) {
-    ts->pods->Start();
-    ts->namespaces->Start();
-    ts->services->Start();
-    ts->secrets->Start();
-    ts->configmaps->Start();
-    ts->serviceaccounts->Start();
-    ts->pvcs->Start();
-    if (opts_.periodic_scan) ArmTenantScan(ts);
-  }
+  if (start_now) StartTenant(ts);
 }
 
 void Syncer::DetachTenant(const std::string& tenant_id) {
@@ -314,13 +203,7 @@ void Syncer::DetachTenant(const std::string& tenant_id) {
   downward_->UnregisterTenant(tenant_id);
   vnodes_.ForgetTenant(tenant_id);
   ts->scan_timer.Cancel();
-  ts->pods->Stop();
-  ts->namespaces->Stop();
-  ts->services->Stop();
-  ts->secrets->Stop();
-  ts->configmaps->Stop();
-  ts->serviceaccounts->Stop();
-  ts->pvcs->Stop();
+  for (const auto& informer : ts->informers) informer->Stop();
 }
 
 std::vector<std::string> Syncer::Tenants() const {
@@ -364,36 +247,39 @@ Syncer::TenantPtr Syncer::GetTenant(const std::string& id) const {
   return it == tenants_.end() ? nullptr : it->second;
 }
 
+std::vector<Syncer::TenantPtr> Syncer::Snapshot() const {
+  std::lock_guard<std::mutex> l(tenants_mu_);
+  std::vector<TenantPtr> out;
+  out.reserve(tenants_.size());
+  for (const auto& [id, ts] : tenants_) out.push_back(ts);
+  return out;
+}
+
+bool Syncer::AllInformers(const std::function<bool(AnyInformer&)>& fn) const {
+  for (const TenantPtr& ts : Snapshot()) {
+    for (const auto& informer : ts->informers) {
+      if (!fn(*informer)) return false;
+    }
+  }
+  for (const auto& kind : kinds_) {
+    if (!fn(kind->SuperInformer())) return false;
+  }
+  return fn(*super_nodes_);
+}
+
 // --------------------------------------------------------------- lifecycle
 
 void Syncer::Start() {
+  {
+    std::lock_guard<std::mutex> l(tenants_mu_);
+    kinds_frozen_ = true;
+  }
   if (started_.exchange(true)) return;
   stop_.store(false);
 
-  super_pods_->Start();
-  super_namespaces_->Start();
-  super_services_->Start();
-  super_secrets_->Start();
-  super_configmaps_->Start();
-  super_serviceaccounts_->Start();
-  super_pvcs_->Start();
+  for (const auto& kind : kinds_) kind->SuperInformer().Start();
   super_nodes_->Start();
-
-  std::vector<TenantPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> l(tenants_mu_);
-    for (auto& [id, ts] : tenants_) snapshot.push_back(ts);
-  }
-  for (TenantPtr& ts : snapshot) {
-    ts->pods->Start();
-    ts->namespaces->Start();
-    ts->services->Start();
-    ts->secrets->Start();
-    ts->configmaps->Start();
-    ts->serviceaccounts->Start();
-    ts->pvcs->Start();
-    if (opts_.periodic_scan) ArmTenantScan(ts);
-  }
+  for (const TenantPtr& ts : Snapshot()) StartTenant(ts);
 
   heartbeat_timer_ = exec_->RunEvery(opts_.heartbeat_broadcast_period, [this] {
     CpuTimeGroup::Member cpu_member(&cpu_);
@@ -408,14 +294,7 @@ void Syncer::Stop() {
   if (!started_.exchange(false)) return;
   stop_.store(true);
   heartbeat_timer_.Cancel();
-  {
-    std::vector<TenantPtr> snapshot;
-    {
-      std::lock_guard<std::mutex> l(tenants_mu_);
-      for (auto& [id, ts] : tenants_) snapshot.push_back(ts);
-    }
-    for (TenantPtr& ts : snapshot) ts->scan_timer.Cancel();
-  }
+  for (const TenantPtr& ts : Snapshot()) ts->scan_timer.Cancel();
   downward_->StopAsync();
   upward_->StopAsync();
   // Pending op-cost charges complete inline (Stop does not wait out modeled
@@ -431,62 +310,18 @@ void Syncer::Stop() {
   DrainCharges();
   downward_->Stop();
   upward_->Stop();
-
-  std::vector<TenantPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> l(tenants_mu_);
-    for (auto& [id, ts] : tenants_) snapshot.push_back(ts);
-  }
-  for (TenantPtr& ts : snapshot) {
-    ts->pods->Stop();
-    ts->namespaces->Stop();
-    ts->services->Stop();
-    ts->secrets->Stop();
-    ts->configmaps->Stop();
-    ts->serviceaccounts->Stop();
-    ts->pvcs->Stop();
-  }
-  super_pods_->Stop();
-  super_namespaces_->Stop();
-  super_services_->Stop();
-  super_secrets_->Stop();
-  super_configmaps_->Stop();
-  super_serviceaccounts_->Stop();
-  super_pvcs_->Stop();
-  super_nodes_->Stop();
+  AllInformers([](AnyInformer& informer) {
+    informer.Stop();
+    return true;
+  });
 }
 
 bool Syncer::WaitForSync(Duration timeout) {
   Stopwatch sw(opts_.clock);
-  auto remaining = [&] {
+  return AllInformers([&](AnyInformer& informer) {
     Duration left = timeout - sw.Elapsed();
-    return left > Duration::zero() ? left : Millis(1);
-  };
-  if (!super_pods_->WaitForSync(remaining()) ||
-      !super_namespaces_->WaitForSync(remaining()) ||
-      !super_services_->WaitForSync(remaining()) ||
-      !super_secrets_->WaitForSync(remaining()) ||
-      !super_configmaps_->WaitForSync(remaining()) ||
-      !super_serviceaccounts_->WaitForSync(remaining()) ||
-      !super_pvcs_->WaitForSync(remaining()) || !super_nodes_->WaitForSync(remaining())) {
-    return false;
-  }
-  std::vector<TenantPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> l(tenants_mu_);
-    for (auto& [id, ts] : tenants_) snapshot.push_back(ts);
-  }
-  for (TenantPtr& ts : snapshot) {
-    if (!ts->pods->WaitForSync(remaining()) || !ts->namespaces->WaitForSync(remaining()) ||
-        !ts->services->WaitForSync(remaining()) ||
-        !ts->secrets->WaitForSync(remaining()) ||
-        !ts->configmaps->WaitForSync(remaining()) ||
-        !ts->serviceaccounts->WaitForSync(remaining()) ||
-        !ts->pvcs->WaitForSync(remaining())) {
-      return false;
-    }
-  }
-  return true;
+    return informer.WaitForSync(left > Duration::zero() ? left : Millis(1));
+  });
 }
 
 // ----------------------------------------------------------- op-cost charges
@@ -569,26 +404,14 @@ bool Syncer::DispatchDownward(const client::FairQueue::Item& item, TimePoint deq
 
   DownResult r = DownResult::kNoop;
   Stopwatch process(opts_.clock);
-  if (kind == api::Pod::kKind) {
-    r = SyncDownObj<api::Pod>(*ts, key, cost);
-    if (r == DownResult::kCreated) {
-      // Phase metrics are recorded for the creation path only (Fig. 8). The
-      // process phase includes the modeled op cost (charged after return).
-      metrics_.dws_queue.Record(dequeue - item.enqueue_time);
-      metrics_.dws_process.Record(process.Elapsed() + *cost);
-    }
-  } else if (kind == api::NamespaceObj::kKind) {
-    r = SyncDownObj<api::NamespaceObj>(*ts, key, cost);
-  } else if (kind == api::Service::kKind) {
-    r = SyncDownObj<api::Service>(*ts, key, cost);
-  } else if (kind == api::Secret::kKind) {
-    r = SyncDownObj<api::Secret>(*ts, key, cost);
-  } else if (kind == api::ConfigMap::kKind) {
-    r = SyncDownObj<api::ConfigMap>(*ts, key, cost);
-  } else if (kind == api::ServiceAccount::kKind) {
-    r = SyncDownObj<api::ServiceAccount>(*ts, key, cost);
-  } else if (kind == api::PersistentVolumeClaim::kKind) {
-    r = SyncDownObj<api::PersistentVolumeClaim>(*ts, key, cost);
+  if (auto unit = kind_by_name_.find(kind); unit != kind_by_name_.end()) {
+    r = unit->second->SyncDown(*ts, key, cost);
+  }
+  if (r == DownResult::kCreated && kind == api::Pod::kKind) {
+    // Phase metrics are recorded for the Pod creation path only (Fig. 8). The
+    // process phase includes the modeled op cost (charged after return).
+    metrics_.dws_queue.Record(dequeue - item.enqueue_time);
+    metrics_.dws_process.Record(process.Elapsed() + *cost);
   }
 
   switch (r) {
@@ -601,122 +424,9 @@ bool Syncer::DispatchDownward(const client::FairQueue::Item& item, TimePoint deq
   return true;
 }
 
-template <typename T>
-Syncer::DownResult Syncer::SyncDownObj(TenantState& ts, const std::string& tenant_key,
-                                       Duration* cost) {
-  client::SharedInformer<T>* tinf = TenantInformer<T>(ts);
-  client::SharedInformer<T>* sinf = SuperInformer<T>();
-  auto tenant_obj = tinf->cache().GetByKey(tenant_key);
-
-  std::string tenant_ns, name;
-  std::string super_ns, super_key;
-  if constexpr (std::is_same_v<T, api::NamespaceObj>) {
-    name = tenant_key;
-    super_key = ts.map.SuperNamespace(name);  // cluster-scoped: key == name
-  } else {
-    std::tie(tenant_ns, name) = SplitNsName(tenant_key);
-    super_ns = ts.map.SuperNamespace(tenant_ns);
-    super_key = super_ns + "/" + name;
-  }
-
-  // ----- deletion path: tenant object gone or terminating → remove shadow.
-  if (!tenant_obj || tenant_obj->meta.deleting()) {
-    std::string del_ns, del_name;
-    if constexpr (std::is_same_v<T, api::NamespaceObj>) {
-      del_name = super_key;
-    } else {
-      del_ns = super_ns;
-      del_name = name;
-    }
-    // Do NOT trust the super informer cache for existence here: a create by
-    // this very syncer may not have been observed by the cache yet (the
-    // create-then-delete race of §III-C), and skipping the delete would leak
-    // the shadow. Per-key serialization in the work queue guarantees the
-    // create has already been issued, so an unconditional delete is safe;
-    // NotFound simply means there was nothing to clean up.
-    const bool shadow_cached = sinf->cache().GetByKey(super_key) != nullptr;
-    Status st = opts_.super_server->Delete<T>(del_ns, del_name,
-                                              apiserver::RequestContext::System("syncer"));
-    if (st.ok()) {
-      *cost += opts_.downward_op_cost;
-      return DownResult::kDeleted;
-    }
-    if (st.IsNotFound()) {
-      if (shadow_cached) metrics_.races_tolerated.fetch_add(1);
-      return DownResult::kNoop;
-    }
-    return DownResult::kRetry;
-  }
-
-  if constexpr (std::is_same_v<T, api::Service>) {
-    // Wait until the tenant control plane assigned the VIP; the shadow must
-    // carry the tenant-visible cluster IP.
-    if (tenant_obj->spec.type == "ClusterIP" && tenant_obj->spec.cluster_ip.empty()) {
-      return DownResult::kRetry;
-    }
-  }
-
-  T desired = ToSuper(ts.map, *tenant_obj);
-  auto existing = sinf->cache().GetByKey(super_key);
-
-  if (!existing) {
-    if constexpr (!std::is_same_v<T, api::NamespaceObj>) {
-      Status ns_st = EnsureSuperNamespace(ts, tenant_ns);
-      if (!ns_st.ok()) return DownResult::kRetry;
-    }
-    *cost += opts_.downward_op_cost;
-    Result<T> created =
-        opts_.super_server->Create(desired, apiserver::RequestContext::System("syncer"));
-    if (!created.ok()) {
-      if (created.status().IsAlreadyExists()) {
-        // Informer lag (our shadow exists but the cache hasn't seen it yet)
-        // or a previous partial sync; re-run shortly and compare then.
-        return DownResult::kRetry;
-      }
-      VLOG(1) << "syncer: downward create " << T::kKind << " " << super_key
-              << " failed: " << created.status();
-      return DownResult::kRetry;
-    }
-    if constexpr (std::is_same_v<T, api::Pod>) {
-      metrics_.MarkDownwardDone(super_key, opts_.clock->Now());
-    }
-    return DownResult::kCreated;
-  }
-
-  if (DownwardFingerprint(*existing) == DownwardFingerprint(desired)) {
-    return DownResult::kNoop;
-  }
-
-  // Drift: update the shadow, preserving super-owned fields.
-  T updated = desired;
-  updated.meta.uid = existing->meta.uid;
-  updated.meta.resource_version = existing->meta.resource_version;
-  updated.meta.creation_timestamp_ms = existing->meta.creation_timestamp_ms;
-  if constexpr (std::is_same_v<T, api::Pod>) {
-    updated.spec.node_name = existing->spec.node_name;
-    updated.status = existing->status;
-  }
-  if constexpr (std::is_same_v<T, api::PersistentVolumeClaim>) {
-    updated.volume_name = existing->volume_name;
-    updated.phase = existing->phase;
-  }
-  if constexpr (std::is_same_v<T, api::NamespaceObj>) {
-    updated.phase = existing->phase;
-  }
-  *cost += opts_.downward_op_cost;
-  Result<T> res = opts_.super_server->Update(std::move(updated),
-                                             apiserver::RequestContext::System("syncer"));
-  if (!res.ok()) {
-    if (res.status().IsConflict()) metrics_.conflicts_retried.fetch_add(1);
-    if (res.status().IsNotFound()) metrics_.races_tolerated.fetch_add(1);
-    return DownResult::kRetry;
-  }
-  return DownResult::kUpdated;
-}
-
 Status Syncer::EnsureSuperNamespace(TenantState& ts, const std::string& tenant_ns) {
   const std::string mapped = ts.map.SuperNamespace(tenant_ns);
-  if (super_namespaces_->cache().GetByKey(mapped) != nullptr) return OkStatus();
+  if (namespaces_->Super().cache().GetByKey(mapped) != nullptr) return OkStatus();
   const apiserver::RequestContext sctx = apiserver::RequestContext::System("syncer");
   if (opts_.super_server->Get<api::NamespaceObj>("", mapped, sctx).ok()) return OkStatus();
   api::NamespaceObj tenant_view;
@@ -740,10 +450,12 @@ void Syncer::UpwardReconcile(const client::FairQueue::Item& item,
     // Scoped: must not outlive the completion (see DownwardReconcile).
     CpuTimeGroup::Member cpu_member(&cpu_);
     auto [kind, key] = SplitKind(item.key);
-    if (kind == "Pod") {
-      out = SyncUpPod(item);
+    if (kind == api::Pod::kKind) {
+      out = SyncUpPod(key);
     } else if (kind == "PodGone") {
       ProcessPodGone(key);
+    } else if (auto unit = kind_by_name_.find(kind); unit != kind_by_name_.end()) {
+      out = unit->second->SyncUp(key);
     }
   }
   // Completion metrics are recorded when the charge fires, matching the old
@@ -761,89 +473,54 @@ void Syncer::UpwardReconcile(const client::FairQueue::Item& item,
   });
 }
 
-Syncer::UpOutcome Syncer::SyncUpPod(const client::FairQueue::Item& item) {
-  UpOutcome out;
-  auto [kind, super_key] = SplitKind(item.key);
-  auto super_pod = super_pods_->cache().GetByKey(super_key);
-  if (!super_pod) return out;  // deleted; PodGone path handles bindings
+Syncer::UpOutcome Syncer::SyncUpPod(const std::string& super_key) {
+  auto super_pod = pods_->Super().cache().GetByKey(super_key);
+  if (!super_pod) return {};  // deleted; PodGone path handles bindings
   std::optional<Origin> origin = OriginOf(*super_pod);
-  if (!origin) return out;
+  if (!origin) return {};
   TenantPtr ts = GetTenant(origin->tenant_id);
-  if (!ts) return out;
+  if (!ts) return {};
 
   // Virtual node lifecycle: pod got bound → tenant needs a vNode for that
   // physical node (1:1 mapping, Fig. 6).
-  const std::string tenant_pod_key = origin->tenant_ns + "/" + super_pod->meta.name;
   if (!super_pod->spec.node_name.empty()) {
     VNodeManager::BindResult br =
-        vnodes_.Bind(origin->tenant_id, super_pod->spec.node_name, tenant_pod_key);
+        vnodes_.Bind(origin->tenant_id, super_pod->spec.node_name,
+                     origin->tenant_ns + "/" + super_pod->meta.name);
     if (br == VNodeManager::BindResult::kNewVNode) {
       Status st = EnsureVNode(*ts, super_pod->spec.node_name);
       if (!st.ok()) {
         VLOG(1) << "syncer: vNode creation failed: " << st;
+        UpOutcome out;
         out.done = false;
         return out;
       }
     }
   }
 
-  bool wrote = false;
   bool became_ready = false;
-  auto sync = [&](api::Pod& tp) {
-    wrote = became_ready = false;
-    if (!origin->tenant_uid.empty() && tp.meta.uid != origin->tenant_uid) {
-      return false;  // tenant pod was recreated; stale shadow
-    }
-    bool changed = false;
-    if (!super_pod->spec.node_name.empty() &&
-        tp.spec.node_name != super_pod->spec.node_name) {
-      tp.spec.node_name = super_pod->spec.node_name;
-      changed = true;
-    }
-    if (!(tp.status == super_pod->status)) {
-      const bool was_ready = tp.status.Ready();
-      tp.status = super_pod->status;
-      if (!was_ready && tp.status.Ready()) {
-        tp.meta.annotations[kReadyAtAnnotation] =
-            std::to_string(opts_.clock->WallUnixMillis());
-        became_ready = true;
-      }
-      changed = true;
-    }
-    wrote = changed;
-    return changed;
-  };
-  // Write by CAS on the tenant informer's copy: no Get, which would block on
-  // the tenant apiserver's watch cache (and build one nothing else reads).
-  // The tenant Pod handler in AttachTenant re-triggers this reconcile for
-  // every newer tenant version whose status or nodeName differs, so a "no
-  // change" verdict on a stale copy is never final.
-  const apiserver::RequestContext ctx =
-      apiserver::RequestContext::System("syncer-upward");
-  apiserver::APIServer& tenant_server = ts->tcp->server();
-  auto cached = ts->pods->cache().GetByKey(tenant_pod_key);
-  Status st = cached ? apiserver::UpdateFrom(tenant_server, *cached, sync, ctx)
-                     : apiserver::RetryUpdate<api::Pod>(tenant_server, origin->tenant_ns,
-                                                        super_pod->meta.name, sync, ctx);
-  if (!st.ok()) {
-    if (st.IsNotFound()) {
-      // Tenant deleted the pod while its status update was in flight — the
-      // §III-C race; the downward path will delete the shadow.
-      metrics_.races_tolerated.fetch_add(1);
-      return out;
-    }
-    out.done = false;
-    return out;
-  }
-  if (wrote) {
-    // The op cost is charged as a timer by UpwardReconcile; completion
-    // metrics are recorded when it fires, matching the old post-sleep timing.
-    out.wrote = true;
-    out.became_ready = became_ready;
-    out.cost = opts_.upward_op_cost;
-  } else {
-    metrics_.upward_noops.fetch_add(1);
-  }
+  UpOutcome out = WriteUp(*ts, pods_->Tenant(*ts), *origin, super_pod->meta.name,
+                          [&](api::Pod& tp) {
+                            became_ready = false;
+                            bool changed = false;
+                            if (!super_pod->spec.node_name.empty() &&
+                                tp.spec.node_name != super_pod->spec.node_name) {
+                              tp.spec.node_name = super_pod->spec.node_name;
+                              changed = true;
+                            }
+                            if (!(tp.status == super_pod->status)) {
+                              const bool was_ready = tp.status.Ready();
+                              tp.status = super_pod->status;
+                              if (!was_ready && tp.status.Ready()) {
+                                tp.meta.annotations[kReadyAtAnnotation] =
+                                    std::to_string(opts_.clock->WallUnixMillis());
+                                became_ready = true;
+                              }
+                              changed = true;
+                            }
+                            return changed;
+                          });
+  out.became_ready = out.wrote && became_ready;
   return out;
 }
 
@@ -870,7 +547,7 @@ void Syncer::ProcessPodGone(const std::string& super_key) {
 }
 
 Status Syncer::EnsureVNode(TenantState& ts, const std::string& node) {
-  auto snode = super_nodes_->cache().GetByKey(node);
+  auto snode = super_nodes_->inf.cache().GetByKey(node);
   api::Node vn;
   vn.meta.name = node;
   if (snode) {
@@ -892,16 +569,11 @@ Status Syncer::EnsureVNode(TenantState& ts, const std::string& node) {
 // --------------------------------------------------------------- heartbeat
 
 void Syncer::BroadcastHeartbeatsOnce() {
-  std::vector<TenantPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> l(tenants_mu_);
-    for (auto& [id, ts] : tenants_) snapshot.push_back(ts);
-  }
   const apiserver::RequestContext ctx =
       apiserver::RequestContext::System("syncer-heartbeat");
-  for (TenantPtr& ts : snapshot) {
+  for (const TenantPtr& ts : Snapshot()) {
     for (const std::string& node : vnodes_.NodesOf(ts->map.tenant_id)) {
-      auto snode = super_nodes_->cache().GetByKey(node);
+      auto snode = super_nodes_->inf.cache().GetByKey(node);
       if (!snode) continue;
       const std::string endpoint =
           snode->status.address + ":" + std::to_string(opts_.vnagent_port);
@@ -922,10 +594,13 @@ void Syncer::BroadcastHeartbeatsOnce() {
 
 // ------------------------------------------------------------------ scanning
 
-// One periodic timer per tenant on the shared executor — the cheap analogue
-// of the paper's one-scan-thread-per-tenant. The weak_ptr keeps a detached
-// tenant from being revived by a late firing.
-void Syncer::ArmTenantScan(const TenantPtr& ts) {
+// Starts an attached tenant's informers and its periodic scan: one timer
+// per tenant on the shared executor — the cheap analogue of the paper's
+// one-scan-thread-per-tenant. The weak_ptr keeps a detached tenant from
+// being revived by a late firing.
+void Syncer::StartTenant(const TenantPtr& ts) {
+  for (const auto& informer : ts->informers) informer->Start();
+  if (!opts_.periodic_scan) return;
   std::weak_ptr<TenantState> wts = ts;
   ts->scan_timer = exec_->RunEvery(opts_.scan_interval, [this, wts] {
     if (stop_.load()) return;
@@ -942,78 +617,18 @@ void Syncer::ArmTenantScan(const TenantPtr& ts) {
   });
 }
 
-template <typename T>
-Syncer::ScanRound Syncer::ScanKind(TenantState& ts) {
-  ScanRound round;
-  client::SharedInformer<T>* tinf = TenantInformer<T>(ts);
-  client::SharedInformer<T>* sinf = SuperInformer<T>();
-
-  // Tenant → super: every tenant object must have a matching shadow.
-  for (const auto& tenant_obj : tinf->cache().List()) {
-    round.objects_scanned++;
-    std::string super_key;
-    if constexpr (std::is_same_v<T, api::NamespaceObj>) {
-      super_key = ts.map.SuperNamespace(tenant_obj->meta.name);
-    } else {
-      super_key =
-          ts.map.SuperNamespace(tenant_obj->meta.ns) + "/" + tenant_obj->meta.name;
-    }
-    auto shadow = sinf->cache().GetByKey(super_key);
-    bool mismatch;
-    if (!shadow) {
-      mismatch = !tenant_obj->meta.deleting();
-    } else {
-      mismatch = DownwardFingerprint(*shadow) !=
-                 DownwardFingerprint(ToSuper(ts.map, *tenant_obj));
-    }
-    if (mismatch) {
-      downward_->Enqueue(ts.map.tenant_id,
-                         std::string(T::kKind) + "|" + tenant_obj->meta.FullName());
-      round.resent++;
-    }
-  }
-
-  // Super → tenant: shadows whose tenant object vanished must be reaped.
-  if constexpr (!std::is_same_v<T, api::NamespaceObj>) {
-    for (const auto& tenant_ns_obj : ts.namespaces->cache().List()) {
-      const std::string mapped = ts.map.SuperNamespace(tenant_ns_obj->meta.name);
-      for (const auto& shadow : sinf->cache().ListNamespace(mapped)) {
-        round.objects_scanned++;
-        const std::string tenant_key =
-            tenant_ns_obj->meta.name + "/" + shadow->meta.name;
-        if (tinf->cache().GetByKey(tenant_key) == nullptr) {
-          downward_->Enqueue(ts.map.tenant_id,
-                             std::string(T::kKind) + "|" + tenant_key);
-          round.resent++;
-        }
-      }
-    }
-  }
-  return round;
-}
-
 Syncer::ScanRound Syncer::ScanTenant(TenantState& ts) {
   ScanRound total;
-  auto acc = [&](ScanRound r) {
+  for (const auto& kind : kinds_) {
+    ScanRound r = kind->Scan(ts);
     total.objects_scanned += r.objects_scanned;
     total.resent += r.resent;
-  };
-  acc(ScanKind<api::NamespaceObj>(ts));
-  acc(ScanKind<api::Pod>(ts));
-  acc(ScanKind<api::Service>(ts));
-  acc(ScanKind<api::Secret>(ts));
-  acc(ScanKind<api::ConfigMap>(ts));
-  acc(ScanKind<api::ServiceAccount>(ts));
-  acc(ScanKind<api::PersistentVolumeClaim>(ts));
+  }
   return total;
 }
 
 Syncer::ScanRound Syncer::ScanAllTenants() {
-  std::vector<TenantPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> l(tenants_mu_);
-    for (auto& [id, ts] : tenants_) snapshot.push_back(ts);
-  }
+  std::vector<TenantPtr> snapshot = Snapshot();
   Stopwatch sw(opts_.clock);
   std::vector<ScanRound> rounds(snapshot.size());
   // One scanning thread per tenant, as configured in the paper's §IV-C.
@@ -1040,48 +655,19 @@ Syncer::ScanRound Syncer::ScanAllTenants() {
 
 size_t Syncer::InformerCacheBytes() const {
   size_t total = 0;
-  total += super_pods_->cache().ApproxBytes();
-  total += super_namespaces_->cache().ApproxBytes();
-  total += super_services_->cache().ApproxBytes();
-  total += super_secrets_->cache().ApproxBytes();
-  total += super_configmaps_->cache().ApproxBytes();
-  total += super_serviceaccounts_->cache().ApproxBytes();
-  total += super_pvcs_->cache().ApproxBytes();
-  total += super_nodes_->cache().ApproxBytes();
-  std::vector<TenantPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> l(tenants_mu_);
-    for (auto& [id, ts] : tenants_) snapshot.push_back(ts);
-  }
-  for (const TenantPtr& ts : snapshot) {
-    total += ts->pods->cache().ApproxBytes();
-    total += ts->namespaces->cache().ApproxBytes();
-    total += ts->services->cache().ApproxBytes();
-    total += ts->secrets->cache().ApproxBytes();
-    total += ts->configmaps->cache().ApproxBytes();
-    total += ts->serviceaccounts->cache().ApproxBytes();
-    total += ts->pvcs->cache().ApproxBytes();
-  }
+  AllInformers([&](AnyInformer& informer) {
+    total += informer.CacheBytes();
+    return true;
+  });
   return total;
 }
 
 size_t Syncer::InformerCacheObjects() const {
-  size_t total = super_pods_->cache().Size() + super_namespaces_->cache().Size() +
-                 super_services_->cache().Size() + super_secrets_->cache().Size() +
-                 super_configmaps_->cache().Size() +
-                 super_serviceaccounts_->cache().Size() + super_pvcs_->cache().Size() +
-                 super_nodes_->cache().Size();
-  std::vector<TenantPtr> snapshot;
-  {
-    std::lock_guard<std::mutex> l(tenants_mu_);
-    for (auto& [id, ts] : tenants_) snapshot.push_back(ts);
-  }
-  for (const TenantPtr& ts : snapshot) {
-    total += ts->pods->cache().Size() + ts->namespaces->cache().Size() +
-             ts->services->cache().Size() + ts->secrets->cache().Size() +
-             ts->configmaps->cache().Size() + ts->serviceaccounts->cache().Size() +
-             ts->pvcs->cache().Size();
-  }
+  size_t total = 0;
+  AllInformers([&](AnyInformer& informer) {
+    total += informer.CacheObjects();
+    return true;
+  });
   return total;
 }
 

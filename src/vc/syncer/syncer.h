@@ -20,6 +20,11 @@
 //     any object whose tenant and super states have drifted, remediating rare
 //     permanent inconsistencies (§III-C).
 //
+// Everything that depends on the object type lives in one unit per kind
+// (KindOf<T>), registered through SyncKind<T>(): the built-in kinds above and
+// any custom resource (paper §V, "adding CRD support in the syncer") share the
+// same loops, budgets, backoff, op-cost timers and trace records.
+//
 // Why centralized (one syncer for many tenants) instead of per-tenant: the
 // paper's §III-C argument — infrequent tenant mutations make per-tenant
 // syncers wasteful, and a fleet of per-tenant syncers relisting after a super
@@ -27,6 +32,7 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -36,6 +42,7 @@
 #include "client/informer.h"
 #include "common/cpu_time.h"
 #include "common/executor.h"
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "controllers/runtime.h"
 #include "vc/syncer/conversion.h"
@@ -45,6 +52,13 @@
 #include "vc/types.h"
 
 namespace vc::core {
+
+// A kind whose super-owned fields flow back to the tenant: `CopyStatus(from,
+// to)` copies them and returns true if anything changed.
+template <typename T>
+concept CopiesStatus = requires(const T& from, T& to) {
+  { T::CopyStatus(from, to) } -> std::convertible_to<bool>;
+};
 
 class Syncer {
  public:
@@ -78,6 +92,17 @@ class Syncer {
 
   Syncer(const Syncer&) = delete;
   Syncer& operator=(const Syncer&) = delete;
+
+  // Adds kind T to the synchronized kinds: its tenant objects are shadowed
+  // downward and re-checked by the periodic scan. T provides kKind,
+  // kNamespaced, meta and an api::Codec<T>; it may declare `static void
+  // ClearSuperOwned(T&)` (fields the super cluster owns, see ToSuper) and
+  // CopyStatus (those fields synced upward, see CopiesStatus). The
+  // constructor registers the built-in kinds through this same call. Must
+  // precede Start() and the first AttachTenant(): FailedPrecondition
+  // otherwise; AlreadyExists if T is registered.
+  template <typename T>
+  Status SyncKind();
 
   // Registers a tenant control plane with the syncer. Uses the VC object's
   // name/uid for the namespace prefix and its weight for fair queuing. May
@@ -125,17 +150,35 @@ class Syncer {
   ScanRound ScanAllTenants();
 
  private:
+  // An informer of any type, for the loops that start, stop, await and
+  // account every informer the syncer owns.
+  class AnyInformer {
+   public:
+    virtual ~AnyInformer() = default;
+    virtual void Start() = 0;
+    virtual void Stop() = 0;
+    virtual bool WaitForSync(Duration timeout) = 0;
+    virtual size_t CacheBytes() const = 0;
+    virtual size_t CacheObjects() const = 0;
+  };
+  template <typename T>
+  struct InformerOf final : AnyInformer {
+    InformerOf(client::ListerWatcher<T> lw, typename client::SharedInformer<T>::Options o)
+        : inf(std::move(lw), std::move(o)) {}
+    void Start() override { inf.Start(); }
+    void Stop() override { inf.Stop(); }
+    bool WaitForSync(Duration timeout) override { return inf.WaitForSync(timeout); }
+    size_t CacheBytes() const override { return inf.cache().ApproxBytes(); }
+    size_t CacheObjects() const override { return inf.cache().Size(); }
+    client::SharedInformer<T> inf;
+  };
+
   struct TenantState {
     TenantMapping map;
     TenantControlPlane* tcp = nullptr;
     int weight = 1;
-    std::unique_ptr<client::SharedInformer<api::Pod>> pods;
-    std::unique_ptr<client::SharedInformer<api::NamespaceObj>> namespaces;
-    std::unique_ptr<client::SharedInformer<api::Service>> services;
-    std::unique_ptr<client::SharedInformer<api::Secret>> secrets;
-    std::unique_ptr<client::SharedInformer<api::ConfigMap>> configmaps;
-    std::unique_ptr<client::SharedInformer<api::ServiceAccount>> serviceaccounts;
-    std::unique_ptr<client::SharedInformer<api::PersistentVolumeClaim>> pvcs;
+    // One informer per synchronized kind, indexed like kinds_.
+    std::vector<std::unique_ptr<AnyInformer>> informers;
     TimerHandle scan_timer;  // periodic consistency scan for this tenant
   };
   using TenantPtr = std::shared_ptr<TenantState>;
@@ -150,7 +193,7 @@ class Syncer {
     std::string node;
   };
 
-  // Result of one upward pod reconcile; the modeled op cost is charged as an
+  // Result of one upward reconcile; the modeled op cost is charged as an
   // executor timer by the caller before completion metrics are recorded.
   struct UpOutcome {
     bool done = true;
@@ -166,15 +209,28 @@ class Syncer {
     std::function<void()> finish;
   };
 
+  // One synchronized kind: its tenant-scoped super informer, the informer it
+  // adds to each tenant, and the type-dependent reconcile code.
+  class Kind {
+   public:
+    virtual ~Kind() = default;
+    virtual AnyInformer& SuperInformer() = 0;
+    // Builds tenant `ts`'s informer of this kind, wired to the loops.
+    virtual std::unique_ptr<AnyInformer> WatchTenant(const TenantState& ts) = 0;
+    virtual DownResult SyncDown(TenantState& ts, const std::string& tenant_key,
+                                Duration* cost) = 0;
+    virtual ScanRound Scan(TenantState& ts) = 0;
+    // Upward status copy; a no-op for kinds without CopyStatus.
+    virtual UpOutcome SyncUp(const std::string& super_key) = 0;
+  };
+  template <typename T>
+  class KindOf;
+
   TenantPtr GetTenant(const std::string& id) const;
-
-  template <typename T>
-  client::SharedInformer<T>* TenantInformer(TenantState& ts);
-  template <typename T>
-  client::SharedInformer<T>* SuperInformer();
-
-  template <typename T>
-  void WireTenantHandlers(TenantState& ts, client::SharedInformer<T>* informer);
+  std::vector<TenantPtr> Snapshot() const;
+  // Calls fn on every informer (tenants', then super) until it returns false.
+  bool AllInformers(const std::function<bool(AnyInformer&)>& fn) const;
+  void StartTenant(const TenantPtr& ts);
 
   // Reconcile entry points hosted on the shared runtime. Each charges its
   // modeled op cost as an executor timer and completes the reconcile (via the
@@ -187,39 +243,46 @@ class Syncer {
   void ChargeCost(Duration cost, std::function<void()> finish);
   void FinishCharge(uint64_t id);
   void DrainCharges();
-  void ArmTenantScan(const TenantPtr& ts);
 
   bool DispatchDownward(const client::FairQueue::Item& item, TimePoint dequeue_time,
                         Duration* cost);
-  template <typename T>
-  DownResult SyncDownObj(TenantState& ts, const std::string& tenant_key, Duration* cost);
 
-  UpOutcome SyncUpPod(const client::FairQueue::Item& item);
+  UpOutcome SyncUpPod(const std::string& super_key);
+  // Applies `change` to the tenant object mirrored by a shadow from `origin`,
+  // by CAS on the tenant informer's copy (DESIGN.md §8.1); refuses an object
+  // whose uid is not the shadow's origin uid (it was recreated).
+  template <typename T, typename Fn>
+  UpOutcome WriteUp(TenantState& ts, client::SharedInformer<T>& tenant_informer,
+                    const Origin& origin, const std::string& name, Fn change);
   void ProcessPodGone(const std::string& super_key);
   Status EnsureSuperNamespace(TenantState& ts, const std::string& tenant_ns);
   Status EnsureVNode(TenantState& ts, const std::string& node);
   void BroadcastHeartbeatsOnce();
 
-  template <typename T>
-  ScanRound ScanKind(TenantState& ts);
   ScanRound ScanTenant(TenantState& ts);
 
   std::shared_ptr<void> CpuToken();
   template <typename T>
-  typename client::SharedInformer<T>::Options InformerOptions();
+  typename client::SharedInformer<T>::Options InformerOptions() {
+    typename client::SharedInformer<T>::Options o;
+    o.clock = opts_.clock;
+    o.thread_hook = [this] { return CpuToken(); };
+    return o;
+  }
 
   Options opts_;
   std::shared_ptr<Executor> exec_;
 
-  // Shared super-cluster informers (one per synchronized kind + nodes).
-  std::unique_ptr<client::SharedInformer<api::Pod>> super_pods_;
-  std::unique_ptr<client::SharedInformer<api::NamespaceObj>> super_namespaces_;
-  std::unique_ptr<client::SharedInformer<api::Service>> super_services_;
-  std::unique_ptr<client::SharedInformer<api::Secret>> super_secrets_;
-  std::unique_ptr<client::SharedInformer<api::ConfigMap>> super_configmaps_;
-  std::unique_ptr<client::SharedInformer<api::ServiceAccount>> super_serviceaccounts_;
-  std::unique_ptr<client::SharedInformer<api::PersistentVolumeClaim>> super_pvcs_;
-  std::unique_ptr<client::SharedInformer<api::Node>> super_nodes_;
+  // The synchronized kinds in registration order, and by T::kKind. Written
+  // only by SyncKind, which is refused once kinds_frozen_ is set.
+  std::vector<std::unique_ptr<Kind>> kinds_;
+  std::map<std::string, Kind*, std::less<>> kind_by_name_;
+  // The two kinds the syncer itself reads: Pods (upward path, vNodes) and
+  // namespaces (shadow namespaces, the orphan scan).
+  KindOf<api::Pod>* pods_ = nullptr;
+  KindOf<api::NamespaceObj>* namespaces_ = nullptr;
+  // Physical nodes, for vNodes and heartbeats; not a synchronized kind.
+  std::unique_ptr<InformerOf<api::Node>> super_nodes_;
 
   VNodeManager vnodes_;
   SyncerMetrics metrics_;
@@ -230,6 +293,7 @@ class Syncer {
   // "<ns_prefix>-" → tenant id, for TenantForSuperNamespace (guarded by
   // tenants_mu_; prefixes are contiguous in the ordered map).
   std::map<std::string, std::string> prefix_to_tenant_;
+  bool kinds_frozen_ = false;  // set by Start/AttachTenant (tenants_mu_)
 
   std::mutex gone_mu_;
   std::map<std::string, GoneInfo> pending_gone_;
@@ -256,5 +320,324 @@ class Syncer {
   // provider reads dies.
   MetricsRegistry::Registration metrics_reg_;
 };
+
+// --------------------------------------------------------------- kind unit
+
+template <typename T>
+class Syncer::KindOf final : public Syncer::Kind {
+ public:
+  KindOf(Syncer& s, size_t slot);
+
+  AnyInformer& SuperInformer() override { return super_; }
+  std::unique_ptr<AnyInformer> WatchTenant(const TenantState& ts) override;
+  DownResult SyncDown(TenantState& ts, const std::string& tenant_key,
+                      Duration* cost) override;
+  ScanRound Scan(TenantState& ts) override;
+  UpOutcome SyncUp(const std::string& super_key) override;
+
+  client::SharedInformer<T>& Super() { return super_.inf; }
+  client::SharedInformer<T>& Tenant(const TenantState& ts) const {
+    return static_cast<InformerOf<T>&>(*ts.informers[slot_]).inf;
+  }
+
+ private:
+  // Where the shadow of the tenant object at `tenant_key` lives.
+  struct ShadowRef {
+    std::string tenant_ns;  // "" for namespaces (cluster-scoped)
+    std::string ns;
+    std::string name;
+    std::string key;  // super informer cache key
+  };
+  static ShadowRef ShadowOf(const TenantMapping& map, const std::string& tenant_key);
+
+  Syncer& s_;
+  const size_t slot_;          // index into TenantState::informers
+  const std::string prefix_;   // "<kind>|", the queue-key prefix
+  InformerOf<T> super_;
+};
+
+// Super-cluster reflectors select only tenant shadows (stamped with
+// kTenantLabel by ToSuper) SERVER-side: the super apiserver never decodes,
+// transfers, or caches its non-tenant objects for the syncer, instead of the
+// syncer filtering via OriginOf after paying the full list cost. Bookmarks
+// keep these mostly-idle watches resumable across compactions.
+template <typename T>
+Syncer::KindOf<T>::KindOf(Syncer& s, size_t slot)
+    : s_(s),
+      slot_(slot),
+      prefix_(std::string(T::kKind) + "|"),
+      super_(
+          [&] {
+            client::ReflectorOptions<T> ro;
+            ro.label_selector = kTenantLabel;  // bare key = Exists
+            return client::ListerWatcher<T>(s.opts_.super_server, std::move(ro),
+                                            apiserver::RequestContext::System("syncer"));
+          }(),
+          s.InformerOptions<T>()) {
+  if constexpr (CopiesStatus<T>) {
+    // Super-owned fields changed on a shadow: copy them up.
+    auto up = [this](const T& obj) {
+      if (std::optional<Origin> origin = OriginOf(obj)) {
+        s_.upward_->Enqueue(origin->tenant_id, prefix_ + obj.meta.FullName());
+      }
+    };
+    client::EventHandlers<T> h;
+    h.on_add = up;
+    h.on_update = [up](const T&, const T& obj) { up(obj); };
+    super_.inf.AddHandlers(std::move(h));
+  }
+}
+
+template <typename T>
+std::unique_ptr<Syncer::AnyInformer> Syncer::KindOf<T>::WatchTenant(const TenantState& ts) {
+  auto w = std::make_unique<InformerOf<T>>(
+      client::ListerWatcher<T>(&ts.tcp->server(), "",
+                               apiserver::RequestContext::System("syncer")),
+      s_.InformerOptions<T>());
+  auto down = [this, tenant = ts.map.tenant_id](const T& obj) {
+    s_.downward_->Enqueue(tenant, prefix_ + obj.meta.FullName());
+  };
+  client::EventHandlers<T> h;
+  h.on_add = down;
+  h.on_update = [down](const T&, const T& obj) { down(obj); };
+  h.on_delete = down;
+  w->inf.AddHandlers(std::move(h));
+  if constexpr (CopiesStatus<T>) {
+    // Upward sync judges "no change" on this informer's copy, so a newer
+    // tenant version whose super-owned fields moved must re-run it.
+    client::EventHandlers<T> up;
+    up.on_update = [this, map = ts.map](const T& old_obj, const T& new_obj) {
+      T probe = new_obj;
+      if (!T::CopyStatus(old_obj, probe)) return;
+      s_.upward_->Enqueue(map.tenant_id, prefix_ + map.SuperNamespace(new_obj.meta.ns) +
+                                             "/" + new_obj.meta.name);
+    };
+    w->inf.AddHandlers(std::move(up));
+  }
+  return w;
+}
+
+template <typename T>
+typename Syncer::KindOf<T>::ShadowRef Syncer::KindOf<T>::ShadowOf(
+    const TenantMapping& map, const std::string& tenant_key) {
+  ShadowRef r;
+  if constexpr (std::is_same_v<T, api::NamespaceObj>) {
+    r.name = r.key = map.SuperNamespace(tenant_key);  // cluster-scoped: key == name
+  } else {
+    const size_t slash = tenant_key.find('/');
+    r.tenant_ns = tenant_key.substr(0, slash);
+    r.name = tenant_key.substr(slash + 1);
+    r.ns = map.SuperNamespace(r.tenant_ns);
+    r.key = r.ns + "/" + r.name;
+  }
+  return r;
+}
+
+template <typename T>
+Syncer::DownResult Syncer::KindOf<T>::SyncDown(TenantState& ts, const std::string& tenant_key,
+                                               Duration* cost) {
+  const Options& opts = s_.opts_;
+  const apiserver::RequestContext ctx = apiserver::RequestContext::System("syncer");
+  auto tenant_obj = Tenant(ts).cache().GetByKey(tenant_key);
+  const ShadowRef shadow = ShadowOf(ts.map, tenant_key);
+
+  // ----- deletion path: tenant object gone or terminating → remove shadow.
+  if (!tenant_obj || tenant_obj->meta.deleting()) {
+    // Do NOT trust the super informer cache for existence here: a create by
+    // this very syncer may not have been observed by the cache yet (the
+    // create-then-delete race of §III-C), and skipping the delete would leak
+    // the shadow. Per-key serialization in the work queue guarantees the
+    // create has already been issued, so an unconditional delete is safe;
+    // NotFound simply means there was nothing to clean up.
+    const bool shadow_cached = super_.inf.cache().GetByKey(shadow.key) != nullptr;
+    Status st = opts.super_server->Delete<T>(shadow.ns, shadow.name, ctx);
+    if (st.ok()) {
+      *cost += opts.downward_op_cost;
+      return DownResult::kDeleted;
+    }
+    if (st.IsNotFound()) {
+      if (shadow_cached) s_.metrics_.races_tolerated.fetch_add(1);
+      return DownResult::kNoop;
+    }
+    return DownResult::kRetry;
+  }
+
+  if constexpr (std::is_same_v<T, api::Service>) {
+    // Wait until the tenant control plane assigned the VIP; the shadow must
+    // carry the tenant-visible cluster IP.
+    if (tenant_obj->spec.type == "ClusterIP" && tenant_obj->spec.cluster_ip.empty()) {
+      return DownResult::kRetry;
+    }
+  }
+
+  T desired = ToSuper(ts.map, *tenant_obj);
+  auto existing = super_.inf.cache().GetByKey(shadow.key);
+
+  if (!existing) {
+    if constexpr (!std::is_same_v<T, api::NamespaceObj>) {
+      Status ns_st = s_.EnsureSuperNamespace(ts, shadow.tenant_ns);
+      if (!ns_st.ok()) return DownResult::kRetry;
+    }
+    *cost += opts.downward_op_cost;
+    Result<T> created = opts.super_server->Create(desired, ctx);
+    if (!created.ok()) {
+      // AlreadyExists: informer lag (our shadow exists but the cache hasn't
+      // seen it yet) or a previous partial sync; re-run shortly and compare.
+      if (!created.status().IsAlreadyExists()) {
+        VLOG(1) << "syncer: downward create " << T::kKind << " " << shadow.key
+                << " failed: " << created.status();
+      }
+      return DownResult::kRetry;
+    }
+    if constexpr (std::is_same_v<T, api::Pod>) {
+      s_.metrics_.MarkDownwardDone(shadow.key, opts.clock->Now());
+    }
+    return DownResult::kCreated;
+  }
+
+  if (ShadowMatches(*existing, desired)) return DownResult::kNoop;
+
+  if (!SameOrigin(*existing, desired)) {
+    // The tenant object was recreated under this name while its delete went
+    // unseen (e.g. the tenant was detached): the shadow mirrors the old one.
+    // Remove it; the retry creates a fresh shadow.
+    *cost += opts.downward_op_cost;
+    (void)opts.super_server->Delete<T>(shadow.ns, shadow.name, ctx);
+    return DownResult::kRetry;
+  }
+
+  // Drift: update the shadow, preserving super-owned fields.
+  T updated = desired;
+  updated.meta.uid = existing->meta.uid;
+  updated.meta.resource_version = existing->meta.resource_version;
+  updated.meta.creation_timestamp_ms = existing->meta.creation_timestamp_ms;
+  if constexpr (std::is_same_v<T, api::Pod>) {
+    updated.spec.node_name = existing->spec.node_name;
+    updated.status = existing->status;
+  }
+  if constexpr (std::is_same_v<T, api::PersistentVolumeClaim>) {
+    updated.volume_name = existing->volume_name;
+    updated.phase = existing->phase;
+  }
+  if constexpr (std::is_same_v<T, api::NamespaceObj>) {
+    updated.phase = existing->phase;
+  }
+  if constexpr (CopiesStatus<T>) {
+    (void)T::CopyStatus(*existing, updated);
+  }
+  *cost += opts.downward_op_cost;
+  Result<T> res = opts.super_server->Update(std::move(updated), ctx);
+  if (!res.ok()) {
+    if (res.status().IsConflict()) s_.metrics_.conflicts_retried.fetch_add(1);
+    if (res.status().IsNotFound()) s_.metrics_.races_tolerated.fetch_add(1);
+    return DownResult::kRetry;
+  }
+  return DownResult::kUpdated;
+}
+
+template <typename T>
+Syncer::ScanRound Syncer::KindOf<T>::Scan(TenantState& ts) {
+  ScanRound round;
+  client::SharedInformer<T>& tenant = Tenant(ts);
+  auto resend = [&](const std::string& tenant_key) {
+    s_.downward_->Enqueue(ts.map.tenant_id, prefix_ + tenant_key);
+    round.resent++;
+  };
+
+  // Tenant → super: every tenant object must have a matching shadow.
+  for (const auto& tenant_obj : tenant.cache().List()) {
+    round.objects_scanned++;
+    const std::string tenant_key = tenant_obj->meta.FullName();
+    auto shadow = super_.inf.cache().GetByKey(ShadowOf(ts.map, tenant_key).key);
+    if (shadow ? !ShadowMatches(*shadow, ToSuper(ts.map, *tenant_obj))
+               : !tenant_obj->meta.deleting()) {
+      resend(tenant_key);
+    }
+  }
+
+  // Super → tenant: shadows whose tenant object vanished must be reaped.
+  if constexpr (!std::is_same_v<T, api::NamespaceObj>) {
+    for (const auto& tenant_ns_obj : s_.namespaces_->Tenant(ts).cache().List()) {
+      const std::string mapped = ts.map.SuperNamespace(tenant_ns_obj->meta.name);
+      for (const auto& shadow : super_.inf.cache().ListNamespace(mapped)) {
+        round.objects_scanned++;
+        const std::string tenant_key = tenant_ns_obj->meta.name + "/" + shadow->meta.name;
+        if (tenant.cache().GetByKey(tenant_key) == nullptr) resend(tenant_key);
+      }
+    }
+  }
+  return round;
+}
+
+template <typename T>
+Syncer::UpOutcome Syncer::KindOf<T>::SyncUp(const std::string& super_key) {
+  if constexpr (CopiesStatus<T>) {
+    auto shadow = super_.inf.cache().GetByKey(super_key);
+    if (!shadow) return {};
+    std::optional<Origin> origin = OriginOf(*shadow);
+    TenantPtr ts = origin ? s_.GetTenant(origin->tenant_id) : nullptr;
+    if (!ts) return {};
+    return s_.WriteUp(*ts, Tenant(*ts), *origin, shadow->meta.name,
+                      [&](T& tenant_obj) { return T::CopyStatus(*shadow, tenant_obj); });
+  } else {
+    return {};
+  }
+}
+
+template <typename T, typename Fn>
+Syncer::UpOutcome Syncer::WriteUp(TenantState& ts, client::SharedInformer<T>& tenant_informer,
+                                  const Origin& origin, const std::string& name, Fn change) {
+  UpOutcome out;
+  bool wrote = false;
+  auto fn = [&](T& obj) {
+    wrote = false;
+    if (!origin.tenant_uid.empty() && obj.meta.uid != origin.tenant_uid) {
+      return false;  // tenant object was recreated; stale shadow
+    }
+    wrote = change(obj);
+    return wrote;
+  };
+  // Write by CAS on the tenant informer's copy: no Get, which would block on
+  // the tenant apiserver's watch cache (and build one nothing else reads).
+  // The tenant informer's upward handler re-triggers this reconcile for every
+  // newer tenant version whose synced fields differ, so a "no change"
+  // verdict on a stale copy is never final.
+  const apiserver::RequestContext ctx = apiserver::RequestContext::System("syncer-upward");
+  apiserver::APIServer& server = ts.tcp->server();
+  auto cached = tenant_informer.cache().GetByKey(origin.tenant_ns + "/" + name);
+  Status st = cached ? apiserver::UpdateFrom(server, *cached, fn, ctx)
+                     : apiserver::RetryUpdate<T>(server, origin.tenant_ns, name, fn, ctx);
+  if (!st.ok()) {
+    if (st.IsNotFound()) {
+      // Tenant deleted the object while its status update was in flight —
+      // the §III-C race; the downward path will delete the shadow.
+      metrics_.races_tolerated.fetch_add(1);
+    } else {
+      out.done = false;
+    }
+    return out;
+  }
+  if (wrote) {
+    out.wrote = true;
+    out.cost = opts_.upward_op_cost;
+  } else {
+    metrics_.upward_noops.fetch_add(1);
+  }
+  return out;
+}
+
+template <typename T>
+Status Syncer::SyncKind() {
+  std::lock_guard<std::mutex> l(tenants_mu_);
+  if (kinds_frozen_) {
+    return FailedPreconditionError("SyncKind after Start or AttachTenant");
+  }
+  if (kind_by_name_.count(T::kKind) != 0) {
+    return AlreadyExistsError(std::string("kind already synced: ") + T::kKind);
+  }
+  kinds_.push_back(std::make_unique<KindOf<T>>(*this, kinds_.size()));
+  kind_by_name_.emplace(T::kKind, kinds_.back().get());
+  return OkStatus();
+}
 
 }  // namespace vc::core

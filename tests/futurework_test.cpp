@@ -3,7 +3,6 @@
 // tenant-control-plane hibernation.
 #include <gtest/gtest.h>
 
-#include "vc/crd_sync.h"
 #include "vc/crds.h"
 #include "vc/deployment.h"
 #include "vc/multi_super.h"
@@ -78,6 +77,8 @@ TEST(GpuJobCodecTest, CrdHooksSeparateOwnership) {
 
 TEST(CrdSyncTest, TenantGpuJobFlowsThroughExtendedScheduler) {
   VcDeployment deploy(FastOptions());
+  // The syncer makes the capability reachable from the tenant.
+  ASSERT_TRUE(deploy.syncer().SyncKind<GpuJob>().ok());
   ASSERT_TRUE(deploy.Start().ok());
   auto tcp = deploy.CreateTenant("ml-team");
   ASSERT_TRUE(tcp.ok());
@@ -90,16 +91,7 @@ TEST(CrdSyncTest, TenantGpuJobFlowsThroughExtendedScheduler) {
   plugin.Start();
   ASSERT_TRUE(plugin.WaitForSync(Seconds(5)));
 
-  // The CRD syncer makes the capability reachable from the tenant.
-  CrdSyncer<GpuJob>::Options co;
-  co.super_server = &deploy.super().server();
-  CrdSyncer<GpuJob> crd_syncer(co);
-  Result<VirtualClusterObj> vc =
-      deploy.super().server().Get<VirtualClusterObj>("default", "ml-team");
-  ASSERT_TRUE(vc.ok());
-  crd_syncer.AttachTenant(*vc, tcp->get());
-  crd_syncer.Start();
-  ASSERT_TRUE(crd_syncer.WaitForSync(Seconds(5)));
+  ASSERT_TRUE(deploy.WaitForSync(Seconds(5)));
 
   // Tenant submits an AI job in ITS control plane.
   TenantClient client(tcp->get());
@@ -123,8 +115,8 @@ TEST(CrdSyncTest, TenantGpuJobFlowsThroughExtendedScheduler) {
     return mine.ok() && mine->phase == "Running" && mine->ready_replicas == 2;
   })) << "status never synced back to the tenant";
   EXPECT_EQ(plugin.gpus_in_use(), 16);
-  EXPECT_GE(crd_syncer.downward_syncs(), 1u);
-  EXPECT_GE(crd_syncer.upward_syncs(), 1u);
+  EXPECT_GE(deploy.syncer().metrics().downward_creates.load(), 1u);
+  EXPECT_GE(deploy.syncer().metrics().upward_updates.load(), 1u);
 
   // Tenant-side spec update propagates without clobbering super status.
   ASSERT_TRUE(apiserver::RetryUpdate<GpuJob>((*tcp)->server(), "default", "train-1",
@@ -149,9 +141,84 @@ TEST(CrdSyncTest, TenantGpuJobFlowsThroughExtendedScheduler) {
         .IsNotFound();
   }));
 
-  crd_syncer.Stop();
   plugin.Stop();
   deploy.Stop();
+}
+
+// A tenant job deleted and recreated under the same name while the syncer
+// missed the delete (tenant detached) must get a fresh shadow; the old one
+// would keep its GPUs and never report to the new job.
+TEST(CrdSyncTest, RecreatedGpuJobGetsFreshShadow) {
+  VcDeployment deploy(FastOptions());
+  ASSERT_TRUE(deploy.syncer().SyncKind<GpuJob>().ok());
+  ASSERT_TRUE(deploy.Start().ok());
+  auto tcp = deploy.CreateTenant("ml-team");
+  ASSERT_TRUE(tcp.ok());
+  GpuJobPlugin::Options po;
+  po.server = &deploy.super().server();
+  po.total_gpus = 16;
+  GpuJobPlugin plugin(po);
+  plugin.Start();
+  ASSERT_TRUE(plugin.WaitForSync(Seconds(5)));
+
+  TenantClient client(tcp->get());
+  GpuJob job;
+  job.meta.ns = "default";
+  job.meta.name = "train-1";
+  job.replicas = 2;
+  job.gpus_per_replica = 8;  // every GPU in the cluster
+  ASSERT_TRUE(client.Create(job).ok());
+  ASSERT_TRUE(Eventually([&] {
+    Result<GpuJob> mine = client.Get<GpuJob>("default", "train-1");
+    return mine.ok() && mine->phase == "Running";
+  }));
+
+  Result<VirtualClusterObj> vc =
+      deploy.super().server().Get<VirtualClusterObj>("default", "ml-team");
+  ASSERT_TRUE(vc.ok());
+  deploy.syncer().DetachTenant("ml-team");
+  ASSERT_TRUE(client.Delete<GpuJob>("default", "train-1").ok());
+  Result<GpuJob> recreated = client.Create(job);
+  ASSERT_TRUE(recreated.ok());
+  deploy.syncer().AttachTenant(*vc, tcp->get());
+
+  TenantMapping map = deploy.syncer().MappingOf("ml-team");
+  EXPECT_TRUE(Eventually([&] {
+    Result<GpuJob> shadow =
+        deploy.super().server().Get<GpuJob>(map.SuperNamespace("default"), "train-1");
+    return shadow.ok() &&
+           shadow->meta.annotations[kOriginUidAnnotation] == recreated->meta.uid;
+  })) << "the shadow still mirrors the deleted job";
+  EXPECT_TRUE(Eventually([&] {
+    Result<GpuJob> mine = client.Get<GpuJob>("default", "train-1");
+    return mine.ok() && mine->phase == "Running";
+  })) << "the recreated job never ran";
+  plugin.Stop();
+  deploy.Stop();
+}
+
+// Every tenant informer set and the scan walk the kind table, so it is
+// closed once the syncer starts or holds a tenant.
+TEST(CrdSyncTest, SyncKindOnlyBeforeStartOrAttach) {
+  apiserver::APIServer super{apiserver::APIServer::Options{}};
+  TenantControlPlane::Options to;
+  to.tenant_id = "ml-team";
+  to.run_controllers = false;
+  TenantControlPlane tcp(std::move(to));
+  Syncer::Options so;
+  so.super_server = &super;
+  Syncer attached(so);
+  EXPECT_EQ(attached.SyncKind<api::Pod>().code(), Code::kAlreadyExists);
+  VirtualClusterObj vc;
+  vc.meta.name = "ml-team";
+  vc.meta.uid = "uid-ml-team";
+  attached.AttachTenant(vc, &tcp);
+  EXPECT_EQ(attached.SyncKind<GpuJob>().code(), Code::kFailedPrecondition);
+
+  Syncer started(so);
+  started.Start();
+  EXPECT_EQ(started.SyncKind<GpuJob>().code(), Code::kFailedPrecondition);
+  started.Stop();
 }
 
 TEST(CrdSyncTest, GangSchedulerRespectsGpuCapacity) {

@@ -455,6 +455,36 @@ TEST(SyncerIntegrationTest, DetachStopsSyncing) {
   deploy.Stop();
 }
 
+// A tenant Pod deleted and recreated under the same name while the syncer
+// missed the delete (tenant detached) must get a fresh shadow: the old one
+// carries the old uid, which the upward path refuses forever.
+TEST(SyncerIntegrationTest, RecreatedTenantPodGetsFreshShadow) {
+  VcDeployment deploy(FastOptions());
+  ASSERT_TRUE(deploy.Start().ok());
+  auto tcp = deploy.CreateTenant("acme");
+  ASSERT_TRUE(tcp.ok());
+  TenantClient client(tcp->get());
+  ASSERT_TRUE(client.Create(BasicPod("default", "web-0")).ok());
+  ASSERT_TRUE(client.WaitPodReady("default", "web-0", Seconds(15)).ok());
+
+  Result<VirtualClusterObj> vc =
+      deploy.super().server().Get<VirtualClusterObj>("default", "acme");
+  ASSERT_TRUE(vc.ok());
+  deploy.syncer().DetachTenant("acme");
+  ASSERT_TRUE(client.Delete<api::Pod>("default", "web-0").ok());
+  Result<api::Pod> recreated = client.Create(BasicPod("default", "web-0"));
+  ASSERT_TRUE(recreated.ok());
+  deploy.syncer().AttachTenant(*vc, tcp->get());
+
+  ASSERT_TRUE(client.WaitPodReady("default", "web-0", Seconds(15)).ok());
+  TenantMapping map = deploy.syncer().MappingOf("acme");
+  Result<api::Pod> shadow =
+      deploy.super().server().Get<api::Pod>(map.SuperNamespace("default"), "web-0");
+  ASSERT_TRUE(shadow.ok());
+  EXPECT_EQ(shadow->meta.annotations[kOriginUidAnnotation], recreated->meta.uid);
+  deploy.Stop();
+}
+
 // Concurrency stress for the shared-executor refactor (run under tsan by
 // scripts/check.sh): 50 tenants attached and detached from racing threads
 // while per-tenant scan timers fire at a tight interval. Exercises the
