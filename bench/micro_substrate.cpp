@@ -47,7 +47,7 @@ api::Pod BenchPod(int i) {
   return p;
 }
 
-// Multi-writer put throughput: the sharded store's headline axis. All
+// Multi-writer put throughput: the commit path's headline axis. All
 // threads share ONE store (created/destroyed by thread 0 — google-benchmark
 // barriers the threads at loop entry/exit, so the handoff is race-free);
 // each thread hammers its own key set, so contention is the store's locking
@@ -74,8 +74,8 @@ void BM_KvPut(benchmark::State& state) {
 }
 BENCHMARK(BM_KvPut)->Threads(1)->Threads(2)->Threads(4)->Threads(8)->UseRealTime();
 
-// Read path with writers absent: measures the index walk itself (lock-free
-// under the sharded store; shared-mutex acquisition in the baseline).
+// Read path with writers absent: measures the map lookup itself, including
+// the store lock's shared acquisition.
 void BM_KvGet(benchmark::State& state) {
   static kv::KvStore* store = nullptr;
   constexpr int kKeys = 1024;

@@ -272,11 +272,11 @@ class APIServer {
     // Byte bound on the store's watch-replay log (0 = event-count bound
     // only); see kv::KvStore::Options::max_log_bytes.
     size_t max_log_bytes = 0;
-    // Template for the owned store when `store` is unset: sharded-index
-    // sizing, WAL durability (`store_options.wal_dir` makes this control
-    // plane survive a restart with its revision stream intact), replay-log
-    // bounds. `max_log_bytes` above and the server's executor are merged in
-    // on top for backward compatibility.
+    // Template for the owned store when `store` is unset: WAL durability
+    // (`store_options.wal_dir` makes this control plane survive a restart
+    // with its revision stream intact), replay-log bounds. `max_log_bytes`
+    // above and the server's executor are merged in on top for backward
+    // compatibility.
     kv::KvStore::Options store_options;
   };
 

@@ -146,45 +146,36 @@ CheckReport CheckHistory(const DrainResult& drained, const CheckOptions& opts) {
     }
   }
 
-  // 6. (opt-in) Store commit monotonicity, sharded-store aware. A commit
-  // record (kPut/kDelete) is stamped under its owning SHARD lock with
-  // arg = shard index, so only same-shard records have a timestamp order that
-  // means anything — concurrent commits on different shards may stamp out of
-  // revision order without any contract being broken. Two passes:
-  //   (a) per shard: revisions strictly increase in drained (timestamp)
-  //       order — the shard lock serializes its commits, so an inversion here
-  //       is a real ordering bug, not cross-shard noise;
-  //   (b) globally: the sorted set of commit revisions is dense (consecutive,
-  //       no duplicate, no gap) — the per-shard streams interleave into ONE
-  //       revision sequence, i.e. the store never minted a revision twice
-  //       or skipped one. Together (a)+(b) are exactly the commit-monotonicity
-  //       contract the pre-sharding checker certified over a single stream.
+  // 6. (opt-in) Store commit monotonicity. Commit records (kPut/kDelete) are
+  // stamped under the store lock, so drained (timestamp) order is commit
+  // order and the revisions must form one stream that is
+  //   (a) strictly increasing in drained order: a revision at or below its
+  //       predecessor was committed out of order ("not after") or minted
+  //       twice;
+  //   (b) dense: no revision is skipped (a lost commit).
   if (opts.single_store) {
-    std::map<uint64_t, int64_t> shard_last;  // shard -> last commit revision
     std::vector<int64_t> commit_revs;
+    int64_t last = 0;
     for (const TraceRecord& r : drained.records) {
       if (r.component != Component::kKv) continue;
       if (r.verb != Verb::kPut && r.verb != Verb::kDelete) continue;
-      report.commits++;
-      commit_revs.push_back(r.revision);
-      auto [it, first] = shard_last.emplace(r.arg, r.revision);
-      if (!first) {
-        if (r.revision <= it->second) {
-          AddViolation(&report, &suppressed,
-                       "store: shard " + std::to_string(r.arg) + " commit rev " +
-                           std::to_string(r.revision) + " not after rev " +
-                           std::to_string(it->second) + " — " + FormatRecord(r));
-        }
-        it->second = r.revision;
+      if (report.commits > 0 && r.revision == last) {
+        AddViolation(&report, &suppressed,
+                     "store: commit rev " + std::to_string(r.revision) +
+                         " minted twice — " + FormatRecord(r));
+      } else if (report.commits > 0 && r.revision < last) {
+        AddViolation(&report, &suppressed,
+                     "store: commit rev " + std::to_string(r.revision) +
+                         " not after rev " + std::to_string(last) + " — " +
+                         FormatRecord(r));
       }
+      report.commits++;
+      last = r.revision;
+      commit_revs.push_back(r.revision);
     }
     std::sort(commit_revs.begin(), commit_revs.end());
     for (size_t i = 1; i < commit_revs.size(); ++i) {
-      if (commit_revs[i] == commit_revs[i - 1]) {
-        AddViolation(&report, &suppressed,
-                     "store: commit rev " + std::to_string(commit_revs[i]) +
-                         " minted twice");
-      } else if (commit_revs[i] != commit_revs[i - 1] + 1) {
+      if (commit_revs[i] > commit_revs[i - 1] + 1) {
         AddViolation(&report, &suppressed,
                      "store: commit revs jump " + std::to_string(commit_revs[i - 1]) +
                          " -> " + std::to_string(commit_revs[i]) +

@@ -21,11 +21,9 @@
 //      (both recorded under the dispatcher lock, so the interleaving is a
 //      total order) computes the max overlap per band, which tests compare
 //      against the configured assured shares.
-//   6. (opt-in) Commit monotonicity for kPut/kDelete over a SHARDED store —
-//      commit records carry their shard index in `arg` and are stamped under
-//      the owning shard's lock, so the checker asserts (a) each shard's
-//      stream is strictly revision-increasing in drained order and (b) all
-//      streams interleave into one dense global revision sequence (no
+//   6. (opt-in) Commit monotonicity for kPut/kDelete — commit records are
+//      stamped under the store lock, so the checker asserts the one commit
+//      stream is strictly revision-increasing in drained order and dense (no
 //      duplicate or skipped mint). Only valid when all records come from a
 //      single store, so tests enable it explicitly via CheckOptions.
 #pragma once

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <filesystem>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/trace.h"
@@ -66,6 +65,7 @@ bool WatchChannel::ok() const {
 }
 
 bool WatchChannel::Offer(const Event& e) {
+  bool overflow = false;
   {
     std::lock_guard<std::mutex> l(mu_);
     if (cancelled_ || gone_) return false;
@@ -75,16 +75,16 @@ bool WatchChannel::Offer(const Event& e) {
       // behind the compaction window.
       gone_ = true;
       queue_.clear();
-      LOG(WARN) << "kv watch channel overflow (capacity=" << capacity_ << ")";
-      cv_.notify_all();
-      Signal();
-      return false;
+      overflow = true;
+    } else {
+      queue_.push_back(e);
     }
-    queue_.push_back(e);
   }
+  // Outside mu_: the signal callback may call back into the channel.
+  if (overflow) LOG(WARN) << "kv watch channel overflow (capacity=" << capacity_ << ")";
   cv_.notify_all();
   Signal();
-  return true;
+  return !overflow;
 }
 
 void WatchChannel::CloseGone() {
@@ -94,90 +94,6 @@ void WatchChannel::CloseGone() {
   }
   cv_.notify_all();
   Signal();
-}
-
-// ----------------------------------------------------------------- ShardIndex
-
-ShardIndex::~ShardIndex() {
-  std::atomic<IndexNode*>* b = buckets_.load(std::memory_order_relaxed);
-  if (b == nullptr) return;
-  for (size_t i = 0; i < kBuckets; ++i) {
-    IndexNode* n = b[i].load(std::memory_order_relaxed);
-    while (n != nullptr) {
-      IndexNode* next = n->next.load(std::memory_order_relaxed);
-      delete n;
-      n = next;
-    }
-  }
-  delete[] b;
-}
-
-std::atomic<IndexNode*>* ShardIndex::EnsureBuckets() {
-  std::atomic<IndexNode*>* b = buckets_.load(std::memory_order_acquire);
-  if (b != nullptr) return b;
-  // Single writer (shard lock held): no CAS needed, just publish the zeroed
-  // array so concurrent lock-free readers see either null or a valid table.
-  b = new std::atomic<IndexNode*>[kBuckets]();
-  buckets_.store(b, std::memory_order_seq_cst);
-  return b;
-}
-
-IndexNode* ShardIndex::Upsert(IndexNode* n) {
-  std::atomic<IndexNode*>* b = EnsureBuckets();
-  std::atomic<IndexNode*>& head = b[(n->hash >> 4) & (kBuckets - 1)];
-  IndexNode* prev = nullptr;
-  IndexNode* cur = head.load(std::memory_order_seq_cst);
-  while (cur != nullptr &&
-         !(cur->hash == n->hash && cur->entry.key == n->entry.key)) {
-    prev = cur;
-    cur = cur->next.load(std::memory_order_seq_cst);
-  }
-  // Fill n->next before the publishing store below makes n reachable. The
-  // displaced node keeps its own next pointer intact: a reader that already
-  // holds it can still finish traversing the chain through it.
-  n->next.store(cur != nullptr ? cur->next.load(std::memory_order_seq_cst)
-                               : head.load(std::memory_order_seq_cst),
-                std::memory_order_relaxed);
-  if (cur == nullptr) {
-    head.store(n, std::memory_order_seq_cst);
-    return nullptr;
-  }
-  if (prev != nullptr) {
-    prev->next.store(n, std::memory_order_seq_cst);
-  } else {
-    head.store(n, std::memory_order_seq_cst);
-  }
-  return cur;
-}
-
-IndexNode* ShardIndex::Erase(std::string_view key, uint64_t hash) {
-  std::atomic<IndexNode*>* b = buckets_.load(std::memory_order_acquire);
-  if (b == nullptr) return nullptr;
-  std::atomic<IndexNode*>& head = b[(hash >> 4) & (kBuckets - 1)];
-  IndexNode* prev = nullptr;
-  IndexNode* cur = head.load(std::memory_order_seq_cst);
-  while (cur != nullptr && !(cur->hash == hash && cur->entry.key == key)) {
-    prev = cur;
-    cur = cur->next.load(std::memory_order_seq_cst);
-  }
-  if (cur == nullptr) return nullptr;
-  IndexNode* next = cur->next.load(std::memory_order_seq_cst);
-  if (prev != nullptr) {
-    prev->next.store(next, std::memory_order_seq_cst);
-  } else {
-    head.store(next, std::memory_order_seq_cst);
-  }
-  return cur;
-}
-
-const IndexNode* ShardIndex::Find(std::string_view key, uint64_t hash) const {
-  std::atomic<IndexNode*>* b = buckets_.load(std::memory_order_seq_cst);
-  if (b == nullptr) return nullptr;
-  const IndexNode* n = b[(hash >> 4) & (kBuckets - 1)].load(std::memory_order_seq_cst);
-  while (n != nullptr && !(n->hash == hash && n->entry.key == key)) {
-    n = n->next.load(std::memory_order_seq_cst);
-  }
-  return n;
 }
 
 // -------------------------------------------------------------------- KvStore
@@ -206,49 +122,35 @@ KvStore::KvStore(size_t max_log_events, int64_t start_revision)
 
 KvStore::~KvStore() { Shutdown(); }
 
-void KvStore::FreeIndexNode(void* p) { delete static_cast<IndexNode*>(p); }
-
 // ------------------------------------------------------------------- recovery
 
 void KvStore::ApplyRecovered(const wal::Record& rec) {
-  // Constructor-only: no locks, no readers, no events — rebuild shard state
+  // Constructor-only: no locks, no readers, no events — rebuild the map
   // exactly as the original op stream left it.
-  const uint64_t h = Fnv1a64(rec.key);
-  Shard& sh = shards_[ShardOf(h)];
-  auto it = sh.keys.find(rec.key);
+  auto it = keys_.lower_bound(rec.key);
+  const bool found = it != keys_.end() && it->first == rec.key;
   if (rec.type == 2) {  // delete
-    if (it == sh.keys.end()) return;
-    IndexNode* old = sh.index.Erase(rec.key, h);
-    live_bytes_.fetch_sub(rec.key.size() + it->second->entry.value.size(),
+    if (!found) return;
+    live_bytes_.fetch_sub(rec.key.size() + it->second.value.size(),
                           std::memory_order_relaxed);
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
-    sh.keys.erase(it);
-    delete old;
+    keys_.erase(it);
     return;
   }
-  IndexNode* n = new IndexNode;
-  n->hash = h;
-  n->entry.key = rec.key;
-  n->entry.value = rec.value;
-  n->entry.mod_revision = rec.revision;
-  if (it == sh.keys.end()) {
-    n->entry.create_revision = rec.revision;
-    n->entry.version = 1;
+  if (!found) {
     live_bytes_.fetch_add(rec.key.size() + rec.value.size(),
                           std::memory_order_relaxed);
     entry_count_.fetch_add(1, std::memory_order_relaxed);
-    sh.index.Upsert(n);
-    sh.keys.emplace(n->entry.key, n);
-  } else {
-    const Entry& old = it->second->entry;
-    n->entry.create_revision = old.create_revision;
-    n->entry.version = old.version + 1;
-    live_bytes_.fetch_add(rec.value.size(), std::memory_order_relaxed);
-    live_bytes_.fetch_sub(old.value.size(), std::memory_order_relaxed);
-    IndexNode* displaced = sh.index.Upsert(n);
-    it->second = n;
-    delete displaced;
+    keys_.emplace_hint(it, rec.key,
+                       Entry{rec.key, rec.value, rec.revision, rec.revision, 1});
+    return;
   }
+  Entry& cur = it->second;
+  live_bytes_.fetch_add(rec.value.size(), std::memory_order_relaxed);
+  live_bytes_.fetch_sub(cur.value.size(), std::memory_order_relaxed);
+  cur.value = rec.value;
+  cur.mod_revision = rec.revision;
+  ++cur.version;
 }
 
 void KvStore::RecoverFromDisk(const Options& opts) {
@@ -272,16 +174,9 @@ void KvStore::RecoverFromDisk(const Options& opts) {
   const int64_t snap_revision = snap->revision;
   int64_t recovered = snap_revision;
   for (Entry& e : snap->entries) {
-    const uint64_t h = Fnv1a64(e.key);
-    Shard& sh = shards_[ShardOf(h)];
-    IndexNode* n = new IndexNode;
-    n->hash = h;
-    n->entry = std::move(e);
-    live_bytes_.fetch_add(n->entry.key.size() + n->entry.value.size(),
-                          std::memory_order_relaxed);
+    live_bytes_.fetch_add(e.key.size() + e.value.size(), std::memory_order_relaxed);
     entry_count_.fetch_add(1, std::memory_order_relaxed);
-    sh.index.Upsert(n);
-    sh.keys.emplace(n->entry.key, n);
+    keys_.emplace_hint(keys_.end(), e.key, std::move(e));
   }
   Result<wal::ReplayStats> stats =
       wal::Replay(wal_path, [&](wal::Record rec) {
@@ -322,7 +217,7 @@ void KvStore::AppendWalLocked(const Event& e) {
   rec.type = e.type == EventType::kDelete ? 2 : 1;
   rec.revision = e.revision;
   rec.key = e.key;
-  rec.value = e.value;  // refcount bump, no byte copy under log_mu_
+  rec.value = e.value;  // refcount bump, no byte copy under mu_
   // Approximate on-disk size (payload + framing) for the flush trigger.
   wal_pending_bytes_.fetch_add(e.key.size() + e.value.size() + 25,
                                std::memory_order_relaxed);
@@ -347,7 +242,7 @@ Status KvStore::SyncWal() {
 Status KvStore::FlushWalLocked() {
   std::vector<wal::Record> batch;
   {
-    std::lock_guard<std::mutex> ll(log_mu_);
+    std::unique_lock<std::shared_mutex> l(mu_);
     batch.swap(wal_pending_);
     wal_pending_bytes_.store(0, std::memory_order_relaxed);
   }
@@ -377,27 +272,17 @@ Status KvStore::CheckpointLocked() {
   if (!wal_health_.ok()) return wal_health_;
   wal::SnapshotData snap;
   {
-    // Revision fence: with every shard lock held shared no writer is inside
-    // its commit section, so the per-shard maps together form the exact state
-    // at published_.
-    std::array<std::shared_lock<std::shared_mutex>, kShards> fence;
-    for (size_t i = 0; i < kShards; ++i) {
-      fence[i] = std::shared_lock<std::shared_mutex>(shards_[i].mu);
-    }
-    snap.revision = published_.load(std::memory_order_seq_cst);
-    {
-      std::lock_guard<std::mutex> ll(log_mu_);
-      snap.compacted = compacted_.load(std::memory_order_relaxed);
-      // Every pending record has revision <= the fence: the snapshot
-      // supersedes them all.
-      wal_pending_.clear();
-      wal_pending_bytes_.store(0, std::memory_order_relaxed);
-    }
-    snap.entries.reserve(entry_count_.load(std::memory_order_relaxed));
-    for (const Shard& sh : shards_) {
-      for (const auto& [key, node] : sh.keys) snap.entries.push_back(node->entry);
-    }
-  }  // release the fence before file IO
+    // With mu_ held no commit is in flight: the map is the exact state at
+    // published_, and every pending record has revision <= it, so the
+    // snapshot supersedes them all.
+    std::unique_lock<std::shared_mutex> l(mu_);
+    snap.revision = published_.load(std::memory_order_relaxed);
+    snap.compacted = compacted_.load(std::memory_order_relaxed);
+    wal_pending_.clear();
+    wal_pending_bytes_.store(0, std::memory_order_relaxed);
+    snap.entries.reserve(keys_.size());
+    for (const auto& [key, entry] : keys_) snap.entries.push_back(entry);
+  }  // release mu_ before file IO
   if (Status s = wal::WriteSnapshot(wal_dir_ + "/" + wal::kSnapshotFile, snap);
       !s.ok()) {
     wal_health_ = s;
@@ -445,7 +330,7 @@ void KvStore::TestAbandonWal() {
   std::lock_guard<std::mutex> wl(wal_io_mu_);
   wal_active_.store(false, std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> ll(log_mu_);
+    std::unique_lock<std::shared_mutex> l(mu_);
     wal_pending_.clear();
     wal_pending_bytes_.store(0, std::memory_order_relaxed);
   }
@@ -537,8 +422,8 @@ void KvStore::PublishLocked(Event e) {
     cmd.event = std::move(e);
     EnqueueLocked(std::move(cmd));
   }
-  // Last: a reader that observes `rev` also observes the index change and
-  // the log entry made above.
+  // Last: a reader that observes `rev` also observes the map change and the
+  // log entry made above.
   published_.store(rev, std::memory_order_release);
 }
 
@@ -625,83 +510,60 @@ void KvStore::FlushWatchDispatch() {
 
 Result<int64_t> KvStore::Put(const std::string& key, std::string value,
                              std::optional<int64_t> expected_mod_revision) {
-  const uint64_t h = Fnv1a64(key);
-  const size_t shard = ShardOf(h);
-  Shard& sh = shards_[shard];
+  Blob blob(std::move(value));  // allocate before taking the lock
   int64_t rev;
   {
-    std::unique_lock<std::shared_mutex> l(sh.mu);
+    std::unique_lock<std::shared_mutex> l(mu_);
     if (shutdown_.load(std::memory_order_acquire)) {
       return UnavailableError("store is shut down");
     }
-    auto it = sh.keys.find(key);
-    IndexNode* cur = it == sh.keys.end() ? nullptr : it->second;
+    auto it = keys_.lower_bound(key);
+    Entry* cur = it != keys_.end() && it->first == key ? &it->second : nullptr;
     if (expected_mod_revision.has_value()) {
       int64_t want = *expected_mod_revision;
       if (want == 0) {
         if (cur != nullptr) {
           trace::Emit(trace::Component::kKv, trace::Verb::kCasFail,
-                      trace::CurrentTraceId(), want, key, shard);
+                      trace::CurrentTraceId(), want, key);
           return AlreadyExistsError("key exists: " + key);
         }
       } else {
         if (cur == nullptr) return NotFoundError("key not found: " + key);
-        if (cur->entry.mod_revision != want) {
+        if (cur->mod_revision != want) {
           trace::Emit(trace::Component::kKv, trace::Verb::kCasFail,
-                      trace::CurrentTraceId(), want, key, shard);
+                      trace::CurrentTraceId(), want, key);
           return ConflictError(StrFormat("mod revision mismatch for %s: have %lld want %lld",
                                          key.c_str(),
-                                         static_cast<long long>(cur->entry.mod_revision),
+                                         static_cast<long long>(cur->mod_revision),
                                          static_cast<long long>(want)));
         }
       }
     }
-    Blob blob(std::move(value));
+    // Mint only after every precondition passed: failed writes consume no
+    // revision, keeping the stream dense.
+    rev = published_.load(std::memory_order_relaxed) + 1;
     Event e;
     e.type = EventType::kPut;
     e.key = key;
     e.value = blob;
+    e.revision = rev;
     e.trace = trace::CurrentTraceId();
-    IndexNode* n = new IndexNode;
-    n->hash = h;
-    n->entry.key = key;
-    n->entry.value = blob;
+    live_bytes_.fetch_add(blob.size(), std::memory_order_relaxed);
     if (cur == nullptr) {
-      n->entry.version = 1;
-      live_bytes_.fetch_add(key.size() + blob.size(), std::memory_order_relaxed);
+      live_bytes_.fetch_add(key.size(), std::memory_order_relaxed);
       entry_count_.fetch_add(1, std::memory_order_relaxed);
+      keys_.emplace_hint(it, key, Entry{key, std::move(blob), rev, rev, 1});
     } else {
-      e.prev_value = cur->entry.value;
-      n->entry.create_revision = cur->entry.create_revision;
-      n->entry.version = cur->entry.version + 1;
-      live_bytes_.fetch_add(blob.size(), std::memory_order_relaxed);
-      live_bytes_.fetch_sub(cur->entry.value.size(), std::memory_order_relaxed);
+      live_bytes_.fetch_sub(cur->value.size(), std::memory_order_relaxed);
+      e.prev_value = std::move(cur->value);
+      cur->value = std::move(blob);
+      cur->mod_revision = rev;
+      ++cur->version;
     }
-    IndexNode* displaced;
-    {
-      // Mint only after every precondition passed: failed writes consume no
-      // revision, keeping the stream dense. The index change lands before
-      // published_ advances, so a lock-free Get sees every revision at or
-      // below CurrentRevision().
-      std::lock_guard<std::mutex> ll(log_mu_);
-      rev = published_.load(std::memory_order_relaxed) + 1;
-      e.revision = rev;
-      n->entry.mod_revision = rev;
-      if (cur == nullptr) n->entry.create_revision = rev;
-      displaced = sh.index.Upsert(n);
-      PublishLocked(std::move(e));
-    }
-    // Stamped under the shard lock: commits of one shard trace in revision
-    // order, which the checker's per-shard monotonicity pass asserts
-    // (arg = shard).
-    trace::Emit(trace::Component::kKv, trace::Verb::kPut, trace::CurrentTraceId(), rev,
-                key, shard);
-    if (it == sh.keys.end()) {
-      sh.keys.emplace(key, n);
-    } else {
-      it->second = n;
-    }
-    if (displaced != nullptr) sh.limbo.Retire(displaced, &FreeIndexNode);
+    // Stamped under mu_: commit records trace in revision order, which the
+    // checker's commit-monotonicity pass asserts.
+    trace::Emit(trace::Component::kKv, trace::Verb::kPut, e.trace, rev, key);
+    PublishLocked(std::move(e));
   }
   KickDispatch();
   MaybeFlushWal();
@@ -710,47 +572,36 @@ Result<int64_t> KvStore::Put(const std::string& key, std::string value,
 
 Result<int64_t> KvStore::Delete(const std::string& key,
                                 std::optional<int64_t> expected_mod_revision) {
-  const uint64_t h = Fnv1a64(key);
-  const size_t shard = ShardOf(h);
-  Shard& sh = shards_[shard];
   int64_t rev;
   {
-    std::unique_lock<std::shared_mutex> l(sh.mu);
+    std::unique_lock<std::shared_mutex> l(mu_);
     if (shutdown_.load(std::memory_order_acquire)) {
       return UnavailableError("store is shut down");
     }
-    auto it = sh.keys.find(key);
-    if (it == sh.keys.end()) return NotFoundError("key not found: " + key);
-    IndexNode* cur = it->second;
+    auto it = keys_.find(key);
+    if (it == keys_.end()) return NotFoundError("key not found: " + key);
+    Entry& cur = it->second;
     if (expected_mod_revision.has_value() &&
-        cur->entry.mod_revision != *expected_mod_revision) {
+        cur.mod_revision != *expected_mod_revision) {
       trace::Emit(trace::Component::kKv, trace::Verb::kCasFail,
-                  trace::CurrentTraceId(), *expected_mod_revision, key, shard);
+                  trace::CurrentTraceId(), *expected_mod_revision, key);
       return ConflictError(StrFormat("mod revision mismatch for %s: have %lld want %lld",
                                      key.c_str(),
-                                     static_cast<long long>(cur->entry.mod_revision),
+                                     static_cast<long long>(cur.mod_revision),
                                      static_cast<long long>(*expected_mod_revision)));
     }
+    rev = published_.load(std::memory_order_relaxed) + 1;  // as in Put
     Event e;
     e.type = EventType::kDelete;
     e.key = key;
-    e.prev_value = cur->entry.value;
+    e.prev_value = std::move(cur.value);
+    e.revision = rev;
     e.trace = trace::CurrentTraceId();
-    live_bytes_.fetch_sub(key.size() + cur->entry.value.size(),
-                          std::memory_order_relaxed);
+    live_bytes_.fetch_sub(key.size() + e.prev_value.size(), std::memory_order_relaxed);
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
-    IndexNode* unlinked;
-    {
-      std::lock_guard<std::mutex> ll(log_mu_);  // as in Put
-      rev = published_.load(std::memory_order_relaxed) + 1;
-      e.revision = rev;
-      unlinked = sh.index.Erase(key, h);
-      PublishLocked(std::move(e));
-    }
-    trace::Emit(trace::Component::kKv, trace::Verb::kDelete, trace::CurrentTraceId(), rev,
-                key, shard);
-    sh.keys.erase(it);
-    if (unlinked != nullptr) sh.limbo.Retire(unlinked, &FreeIndexNode);
+    keys_.erase(it);
+    trace::Emit(trace::Component::kKv, trace::Verb::kDelete, e.trace, rev, key);
+    PublishLocked(std::move(e));
   }
   KickDispatch();
   MaybeFlushWal();
@@ -760,26 +611,10 @@ Result<int64_t> KvStore::Delete(const std::string& key,
 // ---------------------------------------------------------------------- reads
 
 Result<Entry> KvStore::Get(const std::string& key) const {
-  const uint64_t h = Fnv1a64(key);
-  const Shard& sh = shards_[ShardOf(h)];
-  {
-    ebr::ReadGuard guard;
-    if (guard.pinned()) {
-      // Lock-free path: the index is maintained synchronously with the map
-      // under the shard lock, so a miss here is a true miss at this
-      // linearization point, and a hit is an immutable node the guard keeps
-      // alive while we copy it out.
-      const IndexNode* n = sh.index.Find(key, h);
-      if (n == nullptr) return NotFoundError("key not found: " + key);
-      return n->entry;
-    }
-  }
-  // Reader registry exhausted (> ebr::kMaxReaders concurrent reader
-  // threads): locked fallback.
-  std::shared_lock<std::shared_mutex> l(sh.mu);
-  auto it = sh.keys.find(key);
-  if (it == sh.keys.end()) return NotFoundError("key not found: " + key);
-  return it->second->entry;
+  std::shared_lock<std::shared_mutex> l(mu_);
+  auto it = keys_.find(key);
+  if (it == keys_.end()) return NotFoundError("key not found: " + key);
+  return it->second;
 }
 
 ListResult KvStore::List(const std::string& prefix) const {
@@ -788,47 +623,19 @@ ListResult KvStore::List(const std::string& prefix) const {
 
 ListResult KvStore::List(const std::string& prefix, size_t limit,
                          const std::string& start_after) const {
-  // Revision fence: hold every shard lock shared (fixed order, so fence
-  // takers never deadlock each other). A writer commits while holding its
-  // shard lock exclusive, so with the full fence held nobody is mid-commit
-  // and the k-way merge below is the exact state at published_.
-  std::array<std::shared_lock<std::shared_mutex>, kShards> fence;
-  for (size_t i = 0; i < kShards; ++i) {
-    fence[i] = std::shared_lock<std::shared_mutex>(shards_[i].mu);
-  }
+  // mu_ shared: no commit is in flight, so the scan is the exact state at
+  // published_.
+  std::shared_lock<std::shared_mutex> l(mu_);
   ListResult out;
-  out.revision = published_.load(std::memory_order_seq_cst);
-  using MapIt = std::map<std::string, IndexNode*>::const_iterator;
-  struct Stream {
-    MapIt it, end;
-  };
-  std::array<Stream, kShards> streams;
-  for (size_t i = 0; i < kShards; ++i) {
-    const auto& keys = shards_[i].keys;
-    streams[i].it = start_after.empty() ? keys.lower_bound(prefix)
-                                        : keys.upper_bound(start_after);
-    streams[i].end = keys.end();
-  }
-  // K-way merge of the per-shard sorted maps. kShards is small; a linear
-  // min-scan beats heap bookkeeping at this width.
-  for (;;) {
-    int best = -1;
-    for (int i = 0; i < static_cast<int>(kShards); ++i) {
-      Stream& s = streams[i];
-      if (s.it == s.end) continue;
-      if (!StartsWith(s.it->first, prefix)) {
-        s.it = s.end;  // sorted map: nothing later matches either
-        continue;
-      }
-      if (best < 0 || s.it->first < streams[best].it->first) best = i;
-    }
-    if (best < 0) break;
+  out.revision = published_.load(std::memory_order_relaxed);
+  auto it = start_after.empty() ? keys_.lower_bound(prefix)
+                                : keys_.upper_bound(start_after);
+  for (; it != keys_.end() && StartsWith(it->first, prefix); ++it) {
     if (limit > 0 && out.entries.size() >= limit) {
       out.more = true;
       break;
     }
-    out.entries.push_back(streams[best].it->second->entry);
-    ++streams[best].it;
+    out.entries.push_back(it->second);
   }
   return out;
 }
@@ -856,14 +663,14 @@ Result<std::shared_ptr<WatchChannel>> KvStore::Watch(const std::string& prefix,
                                                      WatchParams params) {
   std::shared_ptr<WatchChannel> ch;
   {
-    // log_mu_ blocks commits, freezing the fence: every event <=
+    // mu_ exclusive blocks commits, freezing published_: every event <=
     // published_ is in log_ (or compacted), and every later commit enqueues
     // its dispatch command AFTER this registration. The strand therefore
     // replays (from_revision, published_] exactly once and live events
     // resume at published_ + 1 — no gap, no duplication. Shutdown also sets
-    // its flag under log_mu_, so a registration that saw shutdown == false
+    // its flag under mu_, so a registration that saw shutdown == false
     // fully enqueued (with its epoch) before Shutdown's epoch bump.
-    std::lock_guard<std::mutex> ll(log_mu_);
+    std::unique_lock<std::shared_mutex> l(mu_);
     if (shutdown_.load(std::memory_order_acquire)) {
       return UnavailableError("store is shut down");
     }
@@ -898,7 +705,7 @@ Result<std::shared_ptr<WatchChannel>> KvStore::Watch(const std::string& prefix,
 }
 
 void KvStore::Compact(int64_t up_to) {
-  std::lock_guard<std::mutex> ll(log_mu_);
+  std::unique_lock<std::shared_mutex> l(mu_);
   while (!log_.empty() && log_.front().revision <= up_to) {
     log_bytes_ -= EventBytes(log_.front());
     compacted_.store(log_.front().revision, std::memory_order_relaxed);
@@ -915,7 +722,9 @@ void KvStore::Compact(int64_t up_to) {
 void KvStore::Shutdown() {
   bool already;
   {
-    std::lock_guard<std::mutex> ll(log_mu_);
+    // A commit holds mu_ throughout, so once the flag flips under mu_ no
+    // commit is mid-flight and new writers observe shutdown_.
+    std::unique_lock<std::shared_mutex> l(mu_);
     already = shutdown_.exchange(true, std::memory_order_seq_cst);
   }
   if (already) {
@@ -923,13 +732,6 @@ void KvStore::Shutdown() {
     // destructor never races the strand.
     FlushWatchDispatch();
     return;
-  }
-  // Barrier: an in-flight writer holds its shard lock through its commit,
-  // so after sweeping every shard exclusively no commit is mid-flight. New
-  // writers observed shutdown_.
-  for (Shard& sh : shards_) {
-    sh.mu.lock();
-    sh.mu.unlock();
   }
   // Durability: flush any buffered records so a clean shutdown loses nothing.
   if (!wal_dir_.empty()) (void)SyncWal();
@@ -985,12 +787,12 @@ size_t KvStore::EntryCount() const {
 }
 
 size_t KvStore::LogBytes() const {
-  std::lock_guard<std::mutex> ll(log_mu_);
+  std::shared_lock<std::shared_mutex> l(mu_);
   return log_bytes_;
 }
 
 size_t KvStore::LogEvents() const {
-  std::lock_guard<std::mutex> ll(log_mu_);
+  std::shared_lock<std::shared_mutex> l(mu_);
   return log_.size();
 }
 

@@ -20,23 +20,17 @@
 //     with Gone rather than blocking writers.
 //
 // Hot-path structure (DESIGN.md §12):
-//   * The keyspace is sharded 16 ways by FNV-1a of the key (the same split
-//     ServerStats::BumpIdentity uses). Each shard has its own mutex, sorted
-//     map, and lock-free hash index, so writers to different shards share
-//     no lock outside the short commit section below.
-//   * A commit checks its preconditions under the owning shard's lock, then
-//     takes the one commit lock (log_mu_) to mint the next revision, update
-//     the shard's hash index, append to the replay log / WAL / watch
-//     dispatch queue, and advance the published revision — so the log is in
-//     revision order by construction, and the watch no-gap/no-dup and
-//     commit-monotonicity contracts survive concurrent multi-shard writers.
-//     `CurrentRevision()` returns that published revision: every revision at
-//     or below it is fully visible to Get/List/Watch.
-//   * Get is lock-free: it walks the shard's immutable-node hash index under
-//     an epoch-based read guard (kv/epoch.h) and never touches a shard
-//     mutex. Cross-shard List takes every shard lock shared (a revision
-//     fence: no writer is mid-commit) and k-way merges the per-shard sorted
-//     maps into one consistent snapshot.
+//   * One sorted map of live entries under one shared_mutex (mu_). A commit
+//     holds mu_ exclusive for the whole commit: it checks the CAS
+//     precondition, mints the next revision, updates the map entry in place,
+//     appends to the replay log / WAL / watch dispatch queue, and advances
+//     the published revision — so the log is in revision order by
+//     construction, and the watch no-gap/no-dup and commit-monotonicity
+//     contracts hold for any number of concurrent writers.
+//     `CurrentRevision()` returns that published revision (lock-free): every
+//     revision at or below it is fully visible to Get/List/Watch.
+//   * Get and List take mu_ shared, so a List is the exact state at the
+//     revision it reports. List is one range scan of the sorted map.
 //   * Values are shared blobs (`Blob` = shared_ptr<const string>): Get, List
 //     snapshots, watch events, the replay log, and the WAL all alias one
 //     allocation instead of deep-copying under a lock.
@@ -45,7 +39,7 @@
 //     overflow poisoning run on a sequenced strand (one task at a time) on
 //     the shared Executor, preserving per-watcher ordering and the
 //     no-gap/no-dup replay contract (registration commands are sequenced
-//     through the same queue, with replay captured under the log lock).
+//     through the same queue, with replay captured under mu_).
 //   * Durability is opt-in (`Options::wal_dir`): committed events append to a
 //     write-ahead log in revision order (sharing the same Blob
 //     allocations, flushed in byte-bounded batches or per-commit), with
@@ -54,7 +48,6 @@
 //     revision stream intact.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -65,13 +58,11 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/executor.h"
 #include "common/status.h"
-#include "kv/epoch.h"
 
 namespace vc::kv {
 
@@ -221,57 +212,8 @@ struct WatchParams {
   int64_t bookmark_interval = 0;
 };
 
-// One shard's lock-free read index: an open-chaining hash table of
-// heap-allocated, immutable nodes. Mutations (Upsert/Erase) are single-writer
-// — the caller holds the shard's exclusive lock — and publish with seq_cst
-// stores; readers traverse under an ebr::ReadGuard and never lock. A
-// displaced or erased node is RETURNED to the caller, who must retire it into
-// the shard's LimboList rather than deleting it (a reader may still hold it).
-//
-// The bucket count is fixed (no rehash): the sorted map keeps stable
-// IndexNode pointers, and chains degrade gracefully — O(n/buckets) — instead
-// of paying a stop-the-world clone. Internal to KvStore (a Shard holds one by
-// value, hence the header).
-struct IndexNode {
-  std::atomic<IndexNode*> next{nullptr};
-  uint64_t hash = 0;
-  Entry entry;
-};
-
-class ShardIndex {
- public:
-  // Power of two. The bucket array is allocated lazily on the first Upsert so
-  // idle stores (hibernated tenants) stay cheap.
-  static constexpr size_t kBuckets = 256;
-
-  ShardIndex() = default;
-  ~ShardIndex();
-
-  ShardIndex(const ShardIndex&) = delete;
-  ShardIndex& operator=(const ShardIndex&) = delete;
-
-  // Writer API (shard lock held exclusive). Upsert publishes `n` (taking
-  // ownership) and returns the displaced node for the same key, or nullptr.
-  // Erase unlinks and returns the node, or nullptr when absent.
-  IndexNode* Upsert(IndexNode* n);
-  IndexNode* Erase(std::string_view key, uint64_t hash);
-
-  // Reader API: caller holds a pinned ebr::ReadGuard (or the shard lock).
-  const IndexNode* Find(std::string_view key, uint64_t hash) const;
-
- private:
-  std::atomic<IndexNode*>* EnsureBuckets();
-
-  // Published on first write; readers that observe null see an empty shard.
-  std::atomic<std::atomic<IndexNode*>*> buckets_{nullptr};
-};
-
 class KvStore {
  public:
-  // Keyspace shards; writers to different shards share only the commit lock.
-  // Matches the ServerStats::BumpIdentity split.
-  static constexpr size_t kShards = 16;
-
   struct Options {
     // Bounds the watch-replay event log by event count; older events are
     // auto-compacted (watchers needing them get Gone).
@@ -325,15 +267,14 @@ class KvStore {
   Result<int64_t> Delete(const std::string& key,
                          std::optional<int64_t> expected_mod_revision = std::nullopt);
 
-  // Lock-free: walks the shard's immutable-node index under an epoch read
-  // guard; never blocks behind writers (falls back to the shard lock only if
-  // the process exceeds ebr::kMaxReaders concurrent reader threads).
+  // Takes the store lock shared: waits out an in-flight commit, never
+  // another reader.
   Result<Entry> Get(const std::string& key) const;
 
   // Snapshot of all live entries whose key starts with `prefix`, sorted by
   // key, plus the revision of the snapshot. Entry values alias the stored
-  // blobs (no copy). Cross-shard consistency comes from the revision fence:
-  // all shard locks are held shared, so no writer is mid-commit anywhere.
+  // blobs (no copy). Consistent because the scan holds the store lock
+  // shared: no writer is mid-commit.
   ListResult List(const std::string& prefix) const;
 
   // Paged variant: entries with key > start_after (all of them when empty),
@@ -397,7 +338,7 @@ class KvStore {
   // Flushes all buffered WAL records to the file. Returns the sticky WAL
   // health status (first IO error wins).
   Status SyncWal();
-  // Writes a full-state snapshot at the current revision fence and truncates
+  // Writes a full-state snapshot at the current revision and truncates
   // the WAL. FailedPrecondition-ish error when durability is off.
   Status SnapshotNow();
   // Sticky WAL health: OK until the first write/flush error.
@@ -425,7 +366,7 @@ class KvStore {
   };
 
   // A unit of work for the dispatch strand. Either a store event to fan out,
-  // or a watcher registration (replay captured under the log lock) to splice
+  // or a watcher registration (replay captured under mu_) to splice
   // into the fan-out at exactly its snapshot position.
   struct DispatchCmd {
     enum class Kind { kEvent, kRegister };
@@ -436,30 +377,16 @@ class KvStore {
     uint64_t epoch = 0;         // kRegister: guards against BreakWatches races
   };
 
-  // One keyspace shard. The shard mutex orders all mutations of the shard's
-  // keys; the sorted map (List scans) and the hash index (lock-free Gets)
-  // point at the same immutable IndexNodes. Retired nodes park in the limbo
-  // list until no epoch reader can still reach them.
-  struct alignas(64) Shard {
-    mutable std::shared_mutex mu;
-    std::map<std::string, IndexNode*> keys;
-    ShardIndex index;
-    ebr::LimboList limbo;
-  };
-
   static size_t EventBytes(const Event& e);
-  static void FreeIndexNode(void* p);
 
-  size_t ShardOf(uint64_t hash) const { return hash % kShards; }
-
-  // Commit tail; log_mu_ held, `e.revision` minted and the shard index
+  // Commit tail; mu_ held exclusive, `e.revision` minted and the map entry
   // already updated. Appends to the WAL batch, the replay log (trimming it)
   // and, if anyone listens, the dispatch queue, then advances published_.
   // From here the write is globally visible (read-your-write holds).
   void PublishLocked(Event e);
   void TrimLogLocked();
-  // Enqueues cmd (requires log_mu_ held, so queue order == revision order)
-  // without kicking the strand; call KickDispatch() after unlocking.
+  // Enqueues cmd (requires mu_ held exclusive, so queue order == revision
+  // order) without kicking the strand; call KickDispatch() after unlocking.
   void EnqueueLocked(DispatchCmd cmd);
   void KickDispatch();
   void DispatchLoop();
@@ -474,11 +401,11 @@ class KvStore {
 
   // ---- durability internals ----
   void RecoverFromDisk(const Options& opts);
-  // Applies one replayed mutation directly to shard state (no events, no
+  // Applies one replayed mutation directly to the map (no events, no
   // publication) during recovery.
   void ApplyRecovered(const wal::Record& rec);
-  // Encodes `e` into the pending WAL batch; log_mu_ held (revision order ==
-  // batch order).
+  // Queues `e` into the pending WAL batch; mu_ held exclusive (revision
+  // order == batch order).
   void AppendWalLocked(const Event& e);
   // Post-commit flush policy: sync mode flushes every commit, buffered mode
   // flushes when the pending batch exceeds wal_buffer_bytes. Called with NO
@@ -488,21 +415,24 @@ class KvStore {
   Status FlushWalLocked();
   Status CheckpointLocked();
 
-  // Shards, fixed for the store's lifetime.
-  std::array<Shard, kShards> shards_;
+  // The store lock. A commit holds it exclusive from its CAS check to its
+  // publication, so the replay log, the WAL batch and the dispatch queue
+  // are in revision order. Watch registration (which thereby freezes
+  // published_ for an exact replay splice), Compact, the checkpoint
+  // snapshot, the WAL batch swap and the shutdown flag flip also hold it
+  // exclusive; Get, List and the log accessors hold it shared.
+  mutable std::shared_mutex mu_;
+  std::map<std::string, Entry> keys_;  // live entries, sorted for List
 
   // The store revision. A commit mints published_ + 1 and stores it, both
-  // under log_mu_; CurrentRevision() reads it lock-free.
+  // under mu_; CurrentRevision() reads it lock-free.
   std::atomic<int64_t> published_{0};
   std::atomic<int64_t> compacted_{0};
   std::atomic<bool> shutdown_{false};
 
-  // The commit lock. Every commit takes it once, inside its shard lock, to
-  // mint its revision and publish it, so the replay log below is in revision
-  // order. Watch registration also runs under log_mu_, which blocks commits
-  // and thereby freezes published_ for an exact replay splice.
-  mutable std::mutex log_mu_;
-  std::deque<Event> log_;  // events with revision in (compacted_, published_]
+  // The replay log, guarded by mu_: events with revision in
+  // (compacted_, published_].
+  std::deque<Event> log_;
   const size_t max_log_events_;
   const size_t max_log_bytes_;
   size_t log_bytes_ = 0;  // incremental mirror of the log's EventBytes sum
@@ -520,20 +450,20 @@ class KvStore {
   // True while records should be logged; cleared by TestAbandonWal and on
   // unrecoverable setup errors. Relaxed reads on the commit path.
   std::atomic<bool> wal_active_{false};
-  // Pending records, appended under log_mu_ (revision order) holding the
+  // Pending records, appended under mu_ (revision order) holding the
   // committed Blobs by reference — no byte copy on the commit path; encoding
   // happens at flush time under wal_io_mu_. wal_pending_bytes_ is read
-  // without log_mu_ by MaybeFlushWal (approximate trigger), hence atomic.
+  // without mu_ by MaybeFlushWal (approximate trigger), hence atomic.
   std::vector<wal::Record> wal_pending_;
   std::atomic<size_t> wal_pending_bytes_{0};
   // Serializes all WAL file IO and checkpoints. Ordering: wal_io_mu_ may be
-  // taken first, then shard locks / log_mu_; never the other way around.
+  // taken first, then mu_; never the other way around.
   mutable std::mutex wal_io_mu_;
   std::unique_ptr<wal::Writer> wal_;  // null = durability off or abandoned
   Status wal_health_;                 // guarded by wal_io_mu_
   uint64_t wal_checkpoints_ = 0;      // guarded by wal_io_mu_
 
-  // Dispatch queue. Commits push under log_mu_ + pend_mu_; the strand
+  // Dispatch queue. Commits push under mu_ + pend_mu_; the strand
   // pops under pend_mu_ alone. dispatch_active_ is true while a strand task
   // is scheduled or running — at most one at a time.
   std::mutex pend_mu_;

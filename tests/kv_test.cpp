@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 
 #include "common/executor.h"
@@ -290,6 +292,38 @@ TEST(KvStoreTest, WatcherSeesEveryEventInOrder) {
     last = e->revision;
   }
   writer.join();
+}
+
+// SetSignal lets the callback call back into the channel. The overflow path
+// must therefore signal only after releasing the channel lock: a callback
+// that calls ok() would otherwise self-deadlock the dispatch strand. The wait
+// is bounded; on timeout the test fails and leaks the store and its executor
+// (whose strand is stuck) instead of hanging in their destructors.
+TEST(KvStoreTest, OverflowSignalRunsOutsideChannelLock) {
+  Executor::Options eopts;
+  eopts.threads = 1;
+  auto executor = std::make_shared<Executor>(eopts);
+  KvStore::Options opts;
+  opts.executor = executor;
+  auto store = std::make_unique<KvStore>(opts);
+  std::shared_ptr<WatchChannel> ch = *store->Watch("/o/", 0, /*buffer_capacity=*/1);
+  auto saw_gone = std::make_shared<std::atomic<bool>>(false);
+  ch->SetSignal([raw = ch.get(), saw_gone] {
+    if (!raw->ok()) saw_gone->store(true);
+  });
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(store->Put("/o/k", std::to_string(i)).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!saw_gone->load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!saw_gone->load()) {
+    (void)new std::shared_ptr<Executor>(std::move(executor));  // leaked on purpose
+    (void)store.release();
+    (void)new std::shared_ptr<WatchChannel>(std::move(ch));
+    FAIL() << "overflow signal never observed ok() == false (strand deadlocked)";
+  }
+  EXPECT_FALSE(ch->ok());
+  ch->SetSignal(nullptr);
 }
 
 }  // namespace

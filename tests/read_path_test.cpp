@@ -120,8 +120,8 @@ TEST(ReadPathTest, MalformedContinueTokenIsInvalidArgument) {
 
 TEST(ReadPathTest, ForeignContinueKeyIsInvalidArgument) {
   // A token whose key lies outside the List's prefix must not page at all:
-  // the store would start every shard past that key and stop at the first
-  // key outside the prefix, answering a silent empty page.
+  // the store would start its scan past that key and stop at the first key
+  // outside the prefix, answering a silent empty page.
   APIServer server({});
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(server.Create(SimplePod("kube-system", "pod-" + std::to_string(i))).ok());

@@ -157,25 +157,24 @@ TEST(StorageConcurrencyTest, SlowWatcherOverflowsToGoneWithoutBlockingWriters) {
   ExpectCertified(copts);
 }
 
-// The sharded hot path: 8 writers spread over many keys (hence many shards),
-// mixing upserts, CAS updates, CAS failures, and deletes, while reader
-// threads hammer the lock-free Get path and fenced Lists. The checker then
-// proves the sharded commit contract: each shard's trace stream is
-// revision-ordered and all streams interleave into ONE dense global revision
+// The concurrent commit path: 8 writers spread over many keys, mixing
+// upserts, CAS updates, CAS failures, and deletes, while reader threads
+// hammer Get and List. The checker then proves the commit contract: the one
+// commit trace stream is revision-ordered and forms ONE dense global revision
 // sequence (no double mint, no lost commit).
 TEST(StorageConcurrencyTest, ShardedWritersCertifyGlobalRevisionOrder) {
   trace::Reset();
   KvStore store;
   constexpr int kWriters = 8;
-  constexpr int kKeysPerWriter = 16;  // 128 keys — every shard gets traffic
+  constexpr int kKeysPerWriter = 16;  // 128 keys
   constexpr int kRounds = 60;
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&store, &stop, r] {
-      // Per key, successive lock-free Gets must never travel back in time:
-      // the index publishes nodes with seq_cst stores, so mod_revision is
-      // monotone per reader thread.
+      // Per key, successive Gets must never travel back in time: each reads
+      // the map under the store lock, so mod_revision is monotone per reader
+      // thread.
       std::map<std::string, int64_t> seen;
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string key =
@@ -220,11 +219,10 @@ TEST(StorageConcurrencyTest, ShardedWritersCertifyGlobalRevisionOrder) {
   EXPECT_EQ(report.commits, static_cast<size_t>(store.CurrentRevision()));
 }
 
-// The cross-shard revision fence: a writer that writes key A then key B
-// (hashing to different shards) has published A's revision before B's exists.
-// A List snapshot must therefore NEVER show the newer B value with an older A
-// value — the fence drains all shards at one revision, it is not a racy
-// per-shard scan.
+// The List snapshot: a writer that writes key A then key B has published A's
+// revision before B's exists. A List snapshot must therefore NEVER show the
+// newer B value with an older A value — List scans under the store lock at
+// one revision, it is not a racy scan.
 TEST(StorageConcurrencyTest, ListFenceNeverSplitsDependentWrites) {
   trace::Reset();
   KvStore store;
@@ -265,9 +263,9 @@ TEST(StorageConcurrencyTest, ListFenceNeverSplitsDependentWrites) {
   ExpectCertified(copts);
 }
 
-// CurrentRevision() is a visibility fence for the lock-free Get: a commit
-// updates its shard's hash index before the store revision advances, so once
-// a reader observes revision r, every key committed at or below r is found.
+// CurrentRevision() is a visibility fence for Get: a commit updates the map
+// before the store revision advances, so once a reader observes revision r,
+// every key committed at or below r is found.
 // One writer puts /vis/k<i> at revision i; readers Get every key up to each
 // revision they observe, the newest one first.
 TEST(StorageConcurrencyTest, CurrentRevisionCoversLockFreeGets) {

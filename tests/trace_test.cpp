@@ -228,6 +228,46 @@ TEST(TraceTest, CheckerFlagsSyntheticDupAndReadYourWriteViolation) {
   EXPECT_TRUE(ryw) << report.Summary();
 }
 
+// The seeded-fault gate for the commit-monotonicity pass: a kv commit stream
+// drained as revisions 1, 3, 2, 4, 4, 6 holds one of each fault the pass
+// exists to catch — an out-of-order commit, a double mint and a lost commit.
+TEST(TraceTest, CheckerFlagsSyntheticCommitInversionDupAndGap) {
+  DrainResult h;
+  uint64_t t = 0;
+  for (int64_t rev : {1, 3, 2, 4, 4, 6}) {
+    TraceRecord r;
+    r.component = Component::kKv;
+    r.verb = rev == 2 ? Verb::kDelete : Verb::kPut;
+    r.revision = rev;
+    r.t_mono_ns = t += 10;
+    h.records.push_back(r);
+  }
+  CheckOptions opts;
+  opts.single_store = true;
+  CheckReport report = CheckHistory(h, opts);
+  EXPECT_FALSE(report.certified);
+  EXPECT_EQ(report.commits, 6u);
+  ASSERT_EQ(report.violations.size(), 3u) << report.Summary();
+  bool inversion = false, dup = false, gap = false;
+  for (const std::string& v : report.violations) {
+    if (v.find("not after") != std::string::npos) inversion = true;
+    if (v.find("minted twice") != std::string::npos) dup = true;
+    if (v.find("lost commit") != std::string::npos) gap = true;
+  }
+  EXPECT_TRUE(inversion) << report.Summary();
+  EXPECT_TRUE(dup) << report.Summary();
+  EXPECT_TRUE(gap) << report.Summary();
+  // The same stream in order is clean.
+  h.records.erase(h.records.begin() + 1, h.records.end());
+  for (int64_t rev = 2; rev <= 6; ++rev) {
+    TraceRecord r = h.records.front();
+    r.revision = rev;
+    r.t_mono_ns = t += 10;
+    h.records.push_back(r);
+  }
+  EXPECT_TRUE(CheckHistory(h, opts).certified);
+}
+
 TEST(TraceTest, CheckerPairsDispatchSpansAndMeasuresOverlap) {
   DrainResult h;
   auto span = [](Verb v, uint64_t trace, uint64_t band, uint64_t t) {
