@@ -130,8 +130,15 @@ PodAffinityTerm AffinityTermFromJson(const Json& j) {
   PodAffinityTerm t;
   t.selector = LabelSelectorFromJson(j.Get("labelSelector"));
   t.topology_key = j.Get("topologyKey").as_string();
-  if (t.topology_key.empty()) t.topology_key = "kubernetes.io/hostname";
   return t;
+}
+
+void DefaultPodSpec(PodSpec& s) {
+  for (std::vector<PodAffinityTerm>* terms : {&s.required_anti_affinity, &s.required_affinity}) {
+    for (PodAffinityTerm& t : *terms) {
+      if (t.topology_key.empty()) t.topology_key = "kubernetes.io/hostname";
+    }
+  }
 }
 
 Json PodSpecToJson(const PodSpec& s) {
@@ -284,8 +291,13 @@ ServicePort ServicePortFromJson(const Json& j) {
   p.port = static_cast<int32_t>(j.Get("port").as_int());
   p.target_port = static_cast<int32_t>(j.Get("targetPort").as_int());
   p.protocol = j.Get("protocol").as_string();
-  if (p.protocol.empty()) p.protocol = "TCP";
   return p;
+}
+
+void DefaultPorts(std::vector<ServicePort>& ports) {
+  for (ServicePort& p : ports) {
+    if (p.protocol.empty()) p.protocol = "TCP";
+  }
 }
 
 Json TemplateToJson(const PodTemplateSpec& t) {
@@ -324,8 +336,11 @@ Result<Pod> Codec<Pod>::Decode(const Json& j) {
   p.meta = ObjectMetaFromJson(j.Get("metadata"));
   p.spec = PodSpecFromJson(j.Get("spec"));
   p.status = PodStatusFromJson(j.Get("status"));
+  Default(p);
   return p;
 }
+
+void Codec<Pod>::Default(Pod& obj) { DefaultPodSpec(obj.spec); }
 
 // ---------------------------------------------------------------- Service
 
@@ -352,8 +367,13 @@ Result<Service> Codec<Service>::Decode(const Json& j) {
   for (const Json& p : spec.Get("ports").array()) s.spec.ports.push_back(ServicePortFromJson(p));
   s.spec.cluster_ip = spec.Get("clusterIP").as_string();
   s.spec.type = spec.Get("type").as_string();
-  if (s.spec.type.empty()) s.spec.type = "ClusterIP";
+  Default(s);
   return s;
+}
+
+void Codec<Service>::Default(Service& obj) {
+  DefaultPorts(obj.spec.ports);
+  if (obj.spec.type.empty()) obj.spec.type = "ClusterIP";
 }
 
 // ---------------------------------------------------------------- Endpoints
@@ -398,7 +418,12 @@ Result<Endpoints> Codec<Endpoints>::Decode(const Json& j) {
     for (const Json& p : sub.Get("ports").array()) ss.ports.push_back(ServicePortFromJson(p));
     e.subsets.push_back(std::move(ss));
   }
+  Default(e);
   return e;
+}
+
+void Codec<Endpoints>::Default(Endpoints& obj) {
+  for (EndpointSubset& ss : obj.subsets) DefaultPorts(ss.ports);
 }
 
 // ---------------------------------------------------------------- Node
@@ -463,6 +488,8 @@ Result<Node> Codec<Node>::Decode(const Json& j) {
   return n;
 }
 
+void Codec<Node>::Default(Node&) {}
+
 // ---------------------------------------------------------------- Namespace
 
 Json Codec<NamespaceObj>::Encode(const NamespaceObj& obj) {
@@ -479,8 +506,12 @@ Result<NamespaceObj> Codec<NamespaceObj>::Decode(const Json& j) {
   NamespaceObj n;
   n.meta = ObjectMetaFromJson(j.Get("metadata"));
   n.phase = j.Get("status").Get("phase").as_string();
-  if (n.phase.empty()) n.phase = "Active";
+  Default(n);
   return n;
+}
+
+void Codec<NamespaceObj>::Default(NamespaceObj& obj) {
+  if (obj.phase.empty()) obj.phase = "Active";
 }
 
 // ---------------------------------------------------------------- Secret
@@ -514,9 +545,13 @@ Result<Secret> Codec<Secret>::Decode(const Json& j) {
   Secret s;
   s.meta = ObjectMetaFromJson(j.Get("metadata"));
   s.type = j.Get("type").as_string();
-  if (s.type.empty()) s.type = "Opaque";
   s.data = StringMapFromJson(j.Get("data"));
+  Default(s);
   return s;
+}
+
+void Codec<Secret>::Default(Secret& obj) {
+  if (obj.type.empty()) obj.type = "Opaque";
 }
 
 // ---------------------------------------------------------------- ConfigMap
@@ -536,6 +571,8 @@ Result<ConfigMap> Codec<ConfigMap>::Decode(const Json& j) {
   return c;
 }
 
+void Codec<ConfigMap>::Default(ConfigMap&) {}
+
 // ---------------------------------------------------------------- SA
 
 Json Codec<ServiceAccount>::Encode(const ServiceAccount& obj) {
@@ -554,6 +591,8 @@ Result<ServiceAccount> Codec<ServiceAccount>::Decode(const Json& j) {
   for (const Json& v : j.Get("secrets").array()) s.secrets.push_back(v.as_string());
   return s;
 }
+
+void Codec<ServiceAccount>::Default(ServiceAccount&) {}
 
 // ---------------------------------------------------------------- PV / PVC
 
@@ -575,8 +614,12 @@ Result<PersistentVolume> Codec<PersistentVolume>::Decode(const Json& j) {
   p.storage_class = j.Get("storageClassName").as_string();
   p.claim_ref = j.Get("claimRef").as_string();
   p.phase = j.Get("phase").as_string();
-  if (p.phase.empty()) p.phase = "Available";
+  Default(p);
   return p;
+}
+
+void Codec<PersistentVolume>::Default(PersistentVolume& obj) {
+  if (obj.phase.empty()) obj.phase = "Available";
 }
 
 Json Codec<PersistentVolumeClaim>::Encode(const PersistentVolumeClaim& obj) {
@@ -597,8 +640,12 @@ Result<PersistentVolumeClaim> Codec<PersistentVolumeClaim>::Decode(const Json& j
   p.storage_class = j.Get("storageClassName").as_string();
   p.volume_name = j.Get("volumeName").as_string();
   p.phase = j.Get("phase").as_string();
-  if (p.phase.empty()) p.phase = "Pending";
+  Default(p);
   return p;
+}
+
+void Codec<PersistentVolumeClaim>::Default(PersistentVolumeClaim& obj) {
+  if (obj.phase.empty()) obj.phase = "Pending";
 }
 
 // ---------------------------------------------------------------- Event
@@ -629,10 +676,14 @@ Result<EventObj> Codec<EventObj>::Decode(const Json& j) {
   e.reason = j.Get("reason").as_string();
   e.message = j.Get("message").as_string();
   e.type = j.Get("type").as_string();
-  if (e.type.empty()) e.type = "Normal";
   e.count = static_cast<int32_t>(j.Get("count").as_int(1));
   e.last_timestamp_ms = j.Get("lastTimestamp").as_int();
+  Default(e);
   return e;
+}
+
+void Codec<EventObj>::Default(EventObj& obj) {
+  if (obj.type.empty()) obj.type = "Normal";
 }
 
 // ---------------------------------------------------------------- ReplicaSet
@@ -662,8 +713,11 @@ Result<ReplicaSet> Codec<ReplicaSet>::Decode(const Json& j) {
   r.template_ = TemplateFromJson(spec.Get("template"));
   r.status_replicas = static_cast<int32_t>(j.Get("status").Get("replicas").as_int());
   r.status_ready = static_cast<int32_t>(j.Get("status").Get("readyReplicas").as_int());
+  Default(r);
   return r;
 }
+
+void Codec<ReplicaSet>::Default(ReplicaSet& obj) { DefaultPodSpec(obj.template_.spec); }
 
 // ---------------------------------------------------------------- Deployment
 
@@ -694,7 +748,10 @@ Result<Deployment> Codec<Deployment>::Decode(const Json& j) {
   d.status_replicas = static_cast<int32_t>(j.Get("status").Get("replicas").as_int());
   d.status_ready = static_cast<int32_t>(j.Get("status").Get("readyReplicas").as_int());
   d.observed_generation = j.Get("status").Get("observedGeneration").as_int();
+  Default(d);
   return d;
 }
+
+void Codec<Deployment>::Default(Deployment& obj) { DefaultPodSpec(obj.template_.spec); }
 
 }  // namespace vc::api

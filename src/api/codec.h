@@ -14,7 +14,18 @@
 namespace vc::api {
 
 template <typename T>
-struct Codec;  // { static Json Encode(const T&); static Result<T> Decode(const Json&); }
+struct Codec;  // { static Json Encode(const T&); static Result<T> Decode(const Json&);
+               //   static void Default(T&); }
+
+// Defaulting: fills the empty fields that carry a default ("" protocol →
+// "TCP", ...). Decode applies it to every blob it parses, and the apiserver
+// applies it on the write path before encoding (kube-apiserver defaults at
+// admission), so a written object, its stored blob and every decode of that
+// blob agree: Decode(Encode(Default(x))) == Default(x).
+template <typename T>
+void Default(T& obj) {
+  Codec<T>::Default(obj);
+}
 
 template <typename T>
 std::string Encode(const T& obj) {
@@ -43,6 +54,7 @@ size_t ApproxObjectBytes(const T& obj) {
   struct Codec<T> {                        \
     static Json Encode(const T& obj);      \
     static Result<T> Decode(const Json& j); \
+    static void Default(T& obj);           \
   }
 
 VC_DECLARE_CODEC(Pod);

@@ -56,6 +56,8 @@ APIServer::APIServer(Options opts) : opts_(std::move(opts)) {
                    static_cast<double>(stats_.store_log_bytes.load()));
     s.emplace_back("store_log_events",
                    static_cast<double>(stats_.store_log_events.load()));
+    s.emplace_back("decode_misses", static_cast<double>(decode_cache_->misses()));
+    s.emplace_back("decoded_bytes", static_cast<double>(decode_cache_->decoded_bytes()));
     for (MetricsRegistry::Sample& ds : dispatcher_->CollectSamples()) {
       s.push_back(std::move(ds));
     }

@@ -69,8 +69,9 @@ struct WatchEvent {
   T object;           // new state for kPut; last known state for kDelete
   int64_t revision = 0;
   // When the delivery came through the server's DecodeCache, the memoized
-  // decoded object (resource_version already stamped). N informers watching
-  // one kind share this single decode; consumers that can hold a
+  // decoded object (resource_version already stamped): the writer's own
+  // object for a write this front end committed, else one shared parse of
+  // the blob. N informers watching one kind share it; consumers that can hold a
   // shared_ptr<const T> (ObjectCache::UpsertShared) avoid copying entirely.
   std::shared_ptr<const T> shared;
 };
@@ -103,7 +104,7 @@ class TypedWatch {
     if (decode_) {
       // DecodeCache key: +rev = the event's value blob, -rev = its prev_value
       // blob (revisions are store-wide unique, so this names exactly one
-      // blob). Every TypedWatch and the WatchCache share one parse per event.
+      // blob). Every TypedWatch and the WatchCache share one object per event.
       Result<std::shared_ptr<const T>> obj =
           decode_->GetOrDecode<T>(is_put ? e->revision : -e->revision, blob, e->revision);
       if (!obj.ok()) return obj.status();
@@ -291,6 +292,8 @@ class APIServer {
   const std::shared_ptr<kv::KvStore>& shared_store() const { return store_; }
   bool owns_store() const { return !opts_.store; }
   RequestDispatcher& dispatcher() { return *dispatcher_; }
+  // This front end's memoized decodes (misses/decoded_bytes for the benches).
+  const DecodeCache& decode_cache() const { return *decode_cache_; }
 
   // Simulates a crash-restart of THIS front end: every watch it vended (and
   // its watch caches) breaks with Gone, and its dispatcher's inflight
@@ -341,11 +344,8 @@ class APIServer {
     // the kv entry's mod_revision (one write == one watch event).
     obj.meta.resource_version = 0;
     if (obj.meta.generation == 0) obj.meta.generation = 1;
-    Result<int64_t> rev = store_->Put(Key<T>(obj.meta.ns, obj.meta.name), api::Encode(obj),
-                                      /*expected=*/0);
+    Result<int64_t> rev = Commit(Key<T>(obj.meta.ns, obj.meta.name), obj, /*expected=*/0);
     if (!rev.ok()) return rev.status();
-    RefreshStoreGauges();
-    obj.meta.resource_version = *rev;
     return obj;
   }
 
@@ -517,12 +517,8 @@ class APIServer {
         if (!obj.ok()) return obj.status();
         obj->meta.deletion_timestamp_ms = opts_.clock->WallUnixMillis();
         obj->meta.resource_version = 0;  // not stored in the blob
-        Result<int64_t> rev = store_->Put(Key<T>(ns, name), api::Encode(*obj),
-                                          e->mod_revision);
-        if (rev.ok()) {
-          RefreshStoreGauges();
-          return OkStatus();
-        }
+        Result<int64_t> rev = Commit(Key<T>(ns, name), *obj, e->mod_revision);
+        if (rev.ok()) return OkStatus();
         if (rev.status().IsConflict()) continue;  // racing writer; retry
         return rev.status();
       }
@@ -628,14 +624,28 @@ class APIServer {
       obj.meta.resource_version = *del;
       return obj;
     }
-    Result<int64_t> rev = store_->Put(key, api::Encode(obj), expected);
+    Result<int64_t> rev = Commit(key, obj, expected);
     if (!rev.ok()) {
       if (rev.status().IsConflict()) stats_.conflicts++;
       return rev.status();
     }
+    return obj;
+  }
+
+  // The one write path of every verb that stores an object: defaults it (so
+  // the blob, the returned object and every decode of the blob agree), CASes
+  // it in against `expected` (0 = create), and on success stamps the new
+  // revision into obj and seeds the DecodeCache with it (write-through).
+  // obj.meta.resource_version must be 0: it is never stored in the blob.
+  template <typename T>
+  Result<int64_t> Commit(const std::string& key, T& obj, int64_t expected) {
+    api::Default(obj);
+    Result<int64_t> rev = store_->Put(key, api::Encode(obj), expected);
+    if (!rev.ok()) return rev;
     RefreshStoreGauges();
     obj.meta.resource_version = *rev;
-    return obj;
+    decode_cache_->Seed(*rev, obj);
+    return rev;
   }
 
   // Admit half of the pipeline: shutdown check, per-identity accounting,

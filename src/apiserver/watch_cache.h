@@ -1,10 +1,12 @@
 // The apiserver read-path cache — kube-apiserver's watchCache reproduced over
 // our kv store.
 //
-//   * DecodeCache — a process-wide memoized decode keyed by store revision.
-//     One write produces one blob at one revision; every consumer that needs
-//     the decoded form (watch cache, TypedWatch deliveries to N informers,
-//     namespace admission) shares a single parse of it.
+//   * DecodeCache — one per apiserver front end: a memoized decode keyed by
+//     store revision. One write produces one blob at one revision; every
+//     consumer that needs the decoded form (watch cache, TypedWatch
+//     deliveries to N informers, namespace admission) shares one object for
+//     it — the writer's own object when this front end committed the write,
+//     otherwise a single parse of the blob.
 //   * WatchCache<T> — a per-kind map of decoded objects maintained from the
 //     store's own event stream (a prefix watch with bookmark_interval=1, so
 //     the cache's revision advances in lockstep with EVERY store write, not
@@ -20,10 +22,10 @@
 // store instead — the cache is an accelerator, never a correctness risk.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,10 +45,22 @@ namespace vc::apiserver {
 // blob of the event/entry at rev, -rev the prev_value blob of the event at
 // rev. Revisions are store-wide unique, so a key names exactly one blob (the
 // kind tag is still checked to make collisions impossible, not just
-// unlikely). Bounded FIFO eviction; hit/miss counters for the benches.
+// unlikely).
+//
+// Write-through: an apiserver verb that commits an object Seeds it under
+// +rev, so the readers of that revision share the writer's object and never
+// parse the blob. A reader that arrives before the seed decodes, as for a
+// blob this front end did not write; the two objects are equal because the
+// write path defaults before encoding (api::Default).
+//
+// Storage is a fixed direct-mapped ring: key k lives in slot
+// (2|k| + (k < 0)) mod kSlots, so the value and prev_value of one revision
+// sit side by side and a slot is reused kSlots/2 revisions later. Replacing
+// a slot evicts its previous object; consumers still holding it keep it
+// alive through their shared_ptr.
 class DecodeCache {
  public:
-  explicit DecodeCache(size_t capacity = 8192) : capacity_(capacity) {}
+  static constexpr size_t kSlots = 8192;
 
   // Returns the decoded object for `key`, parsing (and caching) `blob` on a
   // miss. stamp_rv is written into meta.resource_version of a freshly decoded
@@ -56,46 +70,65 @@ class DecodeCache {
                                                int64_t stamp_rv) {
     {
       std::lock_guard<std::mutex> l(mu_);
-      auto it = map_.find(key);
-      if (it != map_.end() && std::strcmp(it->second.kind, T::kKind) == 0) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return std::static_pointer_cast<const T>(it->second.obj);
-      }
+      const Slot& s = slots_[Index(key)];
+      if (Holds<T>(s, key)) return std::static_pointer_cast<const T>(s.obj);
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     decoded_bytes_.fetch_add(blob.size(), std::memory_order_relaxed);
     Result<T> obj = api::Decode<T>(blob.str());
     if (!obj.ok()) return obj.status();
     obj->meta.resource_version = stamp_rv;
-    auto p = std::make_shared<const T>(std::move(*obj));
-    std::lock_guard<std::mutex> l(mu_);
-    auto [it, inserted] = map_.emplace(key, Slot{T::kKind, p});
-    if (inserted) {
-      order_.push_back(key);
-      while (order_.size() > capacity_) {
-        map_.erase(order_.front());
-        order_.pop_front();
-      }
-    }
-    return p;
+    return Install<T>(key, std::make_shared<const T>(std::move(*obj)));
   }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  // Write-through: caches `obj`, the object just committed at revision `rev`
+  // (resource_version already stamped), as the decode of the value blob at
+  // +rev. The copy is made before the lock is taken.
+  template <typename T>
+  void Seed(int64_t rev, const T& obj) {
+    Install<T>(rev, std::make_shared<const T>(obj));
+  }
+
+  // Blobs actually parsed, and their bytes (each parse counted once, not per
+  // reader; a seeded revision costs nothing).
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  // Blob bytes actually parsed (each unique blob counted once, not per reader).
   uint64_t decoded_bytes() const { return decoded_bytes_.load(std::memory_order_relaxed); }
 
  private:
   struct Slot {
-    const char* kind;
+    int64_t key = 0;  // 0 = empty: no store revision is 0
+    const char* kind = nullptr;
     std::shared_ptr<const void> obj;
   };
 
-  const size_t capacity_;
+  static size_t Index(int64_t key) {
+    const uint64_t mag = key < 0 ? 0 - static_cast<uint64_t>(key) : static_cast<uint64_t>(key);
+    return static_cast<size_t>((2 * mag + (key < 0 ? 1 : 0)) % kSlots);
+  }
+
+  template <typename T>
+  static bool Holds(const Slot& s, int64_t key) {
+    return s.key == key && s.obj && std::strcmp(s.kind, T::kKind) == 0;
+  }
+
+  // Puts `p` in key's slot and returns the cached object for key. A slot that
+  // already holds the key is left alone: a racing reader's decode (or the
+  // writer's seed) of the same blob is equal, and sharing it saves memory.
+  template <typename T>
+  std::shared_ptr<const T> Install(int64_t key, std::shared_ptr<const T> p) {
+    std::shared_ptr<const void> evicted;  // released after the unlock
+    std::lock_guard<std::mutex> l(mu_);
+    Slot& s = slots_[Index(key)];
+    if (Holds<T>(s, key)) return std::static_pointer_cast<const T>(s.obj);
+    evicted = std::move(s.obj);
+    s.key = key;
+    s.kind = T::kKind;
+    s.obj = p;
+    return p;
+  }
+
   std::mutex mu_;
-  std::map<int64_t, Slot> map_;
-  std::deque<int64_t> order_;
-  std::atomic<uint64_t> hits_{0};
+  std::array<Slot, kSlots> slots_;
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> decoded_bytes_{0};
 };

@@ -72,7 +72,13 @@ Executor::Executor(Options opts)
     for (int i = 0; i < target_; ++i) SpawnWorkerLocked();
   }
   if (clock_->TicksManually()) {
-    tick_listener_ = clock_->AddTickListener([this] { timer_cv_.notify_all(); });
+    // The notify takes timer_mu_: TimerLoop reads Now() and then waits under
+    // it, and an Advance landing between the two must not be lost (a manual
+    // clock's wait has no timeout to recover by).
+    tick_listener_ = clock_->AddTickListener([this] {
+      std::lock_guard<std::mutex> l(timer_mu_);
+      timer_cv_.notify_all();
+    });
     has_tick_listener_ = true;
   }
   timer_thread_ = std::thread([this] { TimerLoop(); });

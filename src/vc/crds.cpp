@@ -102,15 +102,19 @@ Result<vc::core::GpuJob> Codec<vc::core::GpuJob>::Decode(const Json& j) {
   obj.replicas = static_cast<int32_t>(spec.Get("replicas").as_int(1));
   obj.gpus_per_replica = static_cast<int32_t>(spec.Get("gpusPerReplica").as_int(1));
   obj.framework = spec.Get("framework").as_string();
-  if (obj.framework.empty()) obj.framework = "pytorch";
   obj.queue = spec.Get("queue").as_string();
-  if (obj.queue.empty()) obj.queue = "default";
   const Json& status = j.Get("status");
   obj.phase = status.Get("phase").as_string();
-  if (obj.phase.empty()) obj.phase = "Pending";
   obj.ready_replicas = static_cast<int32_t>(status.Get("readyReplicas").as_int());
   obj.scheduler_message = status.Get("schedulerMessage").as_string();
+  Default(obj);
   return obj;
+}
+
+void Codec<vc::core::GpuJob>::Default(vc::core::GpuJob& obj) {
+  if (obj.framework.empty()) obj.framework = "pytorch";
+  if (obj.queue.empty()) obj.queue = "default";
+  if (obj.phase.empty()) obj.phase = "Pending";
 }
 
 }  // namespace vc::api

@@ -37,7 +37,7 @@ struct GpuJob {
   int32_t ready_replicas = 0;
   std::string scheduler_message;
 
-  // CRD hook consumed by ToSuper/DownwardFingerprint: these fields belong to
+  // CRD hook consumed by ToSuper/DownwardNormalized: these fields belong to
   // the super cluster's scheduler plugin.
   static void ClearSuperOwned(GpuJob& j) {
     j.phase = "Pending";
@@ -102,6 +102,7 @@ template <>
 struct Codec<vc::core::GpuJob> {
   static Json Encode(const vc::core::GpuJob& obj);
   static Result<vc::core::GpuJob> Decode(const Json& j);
+  static void Default(vc::core::GpuJob& obj);
 };
 
 }  // namespace vc::api

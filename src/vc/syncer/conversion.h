@@ -14,7 +14,6 @@
 #include <string>
 #include <string_view>
 
-#include "api/codec.h"
 #include "api/types.h"
 #include "common/hash.h"
 #include "common/strings.h"
@@ -130,11 +129,14 @@ T ToSuper(const TenantMapping& map, const T& tenant_obj) {
   return out;
 }
 
-// Canonical fingerprint of the fields the DOWNWARD direction owns. Two
-// objects with equal fingerprints need no downward update. Status and
-// super-owned fields (pod nodeName, PVC binding) are excluded.
+// The object reduced to the fields the DOWNWARD direction owns. Two objects
+// whose normalized forms are equal need no downward update. Status and
+// super-owned fields (pod nodeName, PVC binding) are cleared. Compared with
+// operator==, not by encoding: both sides come defaulted (api::Default), and
+// the codec round-trips a defaulted object exactly, so equality here is
+// equality of the encodings without paying for two of them.
 template <typename T>
-std::string DownwardFingerprint(const T& obj) {
+T DownwardNormalized(const T& obj) {
   T norm = obj;
   norm.meta.uid.clear();
   norm.meta.resource_version = 0;
@@ -166,14 +168,14 @@ std::string DownwardFingerprint(const T& obj) {
   if constexpr (requires(T& t) { T::ClearSuperOwned(t); }) {
     T::ClearSuperOwned(norm);
   }
-  return api::Encode(norm);
+  return norm;
 }
 
 // Whether `shadow` mirrors the tenant object that `desired` (its ToSuper)
 // was built from: the same origin uid — a tenant object recreated under the
 // same name has a new uid, and the old shadow must not pass for it — and
-// equal downward fingerprints. A shadow without an origin uid matches any
-// object. Namespaces compare by fingerprint only: deleting a super namespace
+// equal downward-normalized forms. A shadow without an origin uid matches any
+// object. Namespaces compare by normalized form only: deleting a super namespace
 // cascades to everything in it, and the syncer creates namespace shadows
 // without a uid.
 template <typename T>
@@ -192,7 +194,7 @@ bool SameOrigin(const T& shadow, const T& desired) {
 template <typename T>
 bool ShadowMatches(const T& shadow, const T& desired) {
   return SameOrigin(shadow, desired) &&
-         DownwardFingerprint(shadow) == DownwardFingerprint(desired);
+         DownwardNormalized(shadow) == DownwardNormalized(desired);
 }
 
 // Reads origin annotations from a super-cluster shadow object. Returns false

@@ -29,20 +29,24 @@ Result<vc::core::VirtualClusterObj> Codec<vc::core::VirtualClusterObj>::Decode(
   obj.meta = ObjectMetaFromJson(j.Get("metadata"));
   const Json& spec = j.Get("spec");
   obj.apiserver_version = spec.Get("apiserverVersion").as_string();
-  if (obj.apiserver_version.empty()) obj.apiserver_version = "1.18";
   obj.provision_mode = spec.Get("provisionMode").as_string();
-  if (obj.provision_mode.empty()) obj.provision_mode = "Local";
   obj.etcd_storage_mb = spec.Get("etcdStorageMB").as_int(512);
   obj.client_qps = spec.Get("clientQPS").as_double(500);
   obj.client_burst = spec.Get("clientBurst").as_double(1000);
   obj.weight = static_cast<int>(spec.Get("weight").as_int(1));
   const Json& status = j.Get("status");
   obj.phase = status.Get("phase").as_string();
-  if (obj.phase.empty()) obj.phase = "Pending";
   obj.kubeconfig_secret = status.Get("kubeconfigSecret").as_string();
   obj.cert_fingerprint = status.Get("certFingerprint").as_string();
   obj.message = status.Get("message").as_string();
+  Default(obj);
   return obj;
+}
+
+void Codec<vc::core::VirtualClusterObj>::Default(vc::core::VirtualClusterObj& obj) {
+  if (obj.apiserver_version.empty()) obj.apiserver_version = "1.18";
+  if (obj.provision_mode.empty()) obj.provision_mode = "Local";
+  if (obj.phase.empty()) obj.phase = "Pending";
 }
 
 }  // namespace vc::api

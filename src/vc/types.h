@@ -48,6 +48,7 @@ template <>
 struct Codec<vc::core::VirtualClusterObj> {
   static Json Encode(const vc::core::VirtualClusterObj& obj);
   static Result<vc::core::VirtualClusterObj> Decode(const Json& j);
+  static void Default(vc::core::VirtualClusterObj& obj);
 };
 
 }  // namespace vc::api

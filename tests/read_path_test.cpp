@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "client/informer.h"
 #include "client/typed_client.h"
@@ -15,6 +19,7 @@ namespace {
 
 using api::Pod;
 using apiserver::APIServer;
+using apiserver::DecodeCache;
 using apiserver::ListOptions;
 using apiserver::PolicyRule;
 using apiserver::RequestContext;
@@ -438,6 +443,312 @@ TEST(ReadPathTest, TypedClientScopesVerbs) {
 
   // Per-identity attribution keyed by user/user_agent.
   EXPECT_GT(server.stats().IdentityRequests("system:loopback/test-client"), 0u);
+}
+
+// ---------------------------------------------------- write-through decode
+
+// Parks every worker of `exec` until destroyed: while the gate lives no watch
+// consumer (store fan-out, watch cache, informer) runs, so every reader of a
+// write reaches the DecodeCache after the writer's verb has returned. That
+// pins the order the seed is meant to win in the common case; a reader that
+// wins the race just decodes, which costs time, not correctness.
+class ExecutorGate {
+ public:
+  explicit ExecutorGate(Executor* exec) : workers_(exec->threads()) {
+    for (int i = 0; i < workers_; ++i) {
+      exec->Submit([this] {
+        std::unique_lock<std::mutex> l(mu_);
+        ++parked_;
+        cv_.notify_all();
+        cv_.wait(l, [this] { return open_; });
+        --parked_;
+        cv_.notify_all();
+      });
+    }
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [this] { return parked_ == workers_; });
+  }
+  // Releases the workers and waits until each has left its task, so the
+  // gate outlives every use of it.
+  ~ExecutorGate() {
+    std::unique_lock<std::mutex> l(mu_);
+    open_ = true;
+    cv_.notify_all();
+    cv_.wait(l, [this] { return parked_ == 0; });
+  }
+
+ private:
+  const int workers_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int parked_ = 0;
+  bool open_ = false;
+};
+
+TEST(ReadPathTest, WritesThroughThisServerAreDeliveredWithoutDecoding) {
+  APIServer server({});
+  ASSERT_TRUE(server.List<Pod>().ok());  // primes the Pod watch cache
+  SharedInformer<Pod> inf{ListerWatcher<Pod>(&server)};
+  inf.Start();
+  ASSERT_TRUE(inf.WaitForSync(Seconds(3)));
+  WatchOptions wopts;
+  wopts.from_revision = server.store().CurrentRevision();
+  Result<apiserver::TypedWatch<Pod>> w = server.Watch<Pod>(wopts);
+  ASSERT_TRUE(w.ok());
+  const uint64_t misses_before = server.decode_cache().misses();
+  const uint64_t bytes_before = server.decode_cache().decoded_bytes();
+
+  constexpr int kPods = 8;
+  std::vector<Pod> committed;  // every object a verb returned, in order
+  {
+    ExecutorGate gate(Executor::Default());
+    for (int i = 0; i < kPods; ++i) {
+      Result<Pod> created = server.Create(SimplePod("default", "p" + std::to_string(i)));
+      ASSERT_TRUE(created.ok()) << created.status();
+      committed.push_back(*created);
+      created->meta.labels["rev"] = "2";
+      Result<Pod> updated = server.Update(*created);
+      ASSERT_TRUE(updated.ok()) << updated.status();
+      committed.push_back(*updated);
+      updated->status.message = "ready";
+      Result<Pod> status = server.UpdateStatus(*updated);
+      ASSERT_TRUE(status.ok()) << status.status();
+      committed.push_back(*status);
+    }
+  }
+
+  // The watch delivers each committed object, shared rather than re-parsed.
+  for (const Pod& want : committed) {
+    Result<WatchEvent<Pod>> e = w->Next(Seconds(3));
+    ASSERT_TRUE(e.ok()) << e.status();
+    ASSERT_EQ(e->type, WatchEvent<Pod>::Type::kPut);
+    ASSERT_TRUE(e->shared);
+    EXPECT_EQ(e->revision, want.meta.resource_version);
+    EXPECT_TRUE(*e->shared == want) << want.meta.name;
+  }
+  // The informer and the watch cache converge on the final objects.
+  for (int i = 0; i < kPods; ++i) {
+    const Pod& want = committed[3 * i + 2];
+    WaitUntil([&] {
+      auto got = inf.cache().Get("default", want.meta.name);
+      return got && got->meta.resource_version == want.meta.resource_version;
+    });
+    EXPECT_TRUE(*inf.cache().Get("default", want.meta.name) == want);
+    Result<Pod> got = server.Get<Pod>("default", want.meta.name);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(*got == want);
+  }
+  EXPECT_EQ(server.decode_cache().misses(), misses_before);
+  EXPECT_EQ(server.decode_cache().decoded_bytes(), bytes_before);
+  inf.Stop();
+}
+
+TEST(ReadPathTest, RawStoreWriteIsStillDecoded) {
+  APIServer server({});
+  SharedInformer<Pod> inf{ListerWatcher<Pod>(&server)};
+  inf.Start();
+  ASSERT_TRUE(inf.WaitForSync(Seconds(3)));
+  WatchOptions wopts;
+  wopts.from_revision = server.store().CurrentRevision();
+  Result<apiserver::TypedWatch<Pod>> w = server.Watch<Pod>(wopts);
+  ASSERT_TRUE(w.ok());
+  const uint64_t misses_before = server.decode_cache().misses();
+
+  // Written around the apiserver, undefaulted: no verb seeds it, so the
+  // readers parse the blob and the decoder fills the defaults.
+  Pod raw = SimplePod("default", "raw");
+  api::PodAffinityTerm term;
+  term.selector = api::LabelSelector::FromMap({{"app", "raw"}});
+  term.topology_key = "";
+  raw.spec.required_anti_affinity.push_back(term);
+  const std::string blob = api::Encode(raw);
+  Result<int64_t> rev = server.store().Put(APIServer::Key<Pod>("default", "raw"), blob, 0);
+  ASSERT_TRUE(rev.ok()) << rev.status();
+  Result<Pod> want = api::Decode<Pod>(blob);
+  ASSERT_TRUE(want.ok());
+  want->meta.resource_version = *rev;
+  ASSERT_EQ(want->spec.required_anti_affinity[0].topology_key, "kubernetes.io/hostname");
+
+  Result<WatchEvent<Pod>> e = w->Next(Seconds(3));
+  ASSERT_TRUE(e.ok()) << e.status();
+  EXPECT_EQ(e->revision, *rev);
+  EXPECT_TRUE(e->object == *want);
+  WaitUntil([&] { return inf.cache().Get("default", "raw") != nullptr; });
+  EXPECT_TRUE(*inf.cache().Get("default", "raw") == *want);
+  Result<Pod> got = server.Get<Pod>("default", "raw");
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(*got == *want);
+  EXPECT_GE(server.decode_cache().misses(), misses_before + 1);
+  inf.Stop();
+}
+
+TEST(ReadPathTest, CreateReturnsTheDefaultedObjectReadersSee) {
+  APIServer server({});
+  WatchOptions wopts;
+  wopts.from_revision = server.store().CurrentRevision();
+  Result<apiserver::TypedWatch<api::Service>> w = server.Watch<api::Service>(wopts);
+  ASSERT_TRUE(w.ok());
+  api::Service svc;
+  svc.meta.ns = "default";
+  svc.meta.name = "web";
+  svc.spec.ports = {{"http", 80, 8080, ""}};
+  svc.spec.type = "";
+  Result<api::Service> created = server.Create(svc);
+  ASSERT_TRUE(created.ok()) << created.status();
+  EXPECT_EQ(created->spec.ports[0].protocol, "TCP");
+  EXPECT_EQ(created->spec.type, "ClusterIP");
+
+  Result<WatchEvent<api::Service>> e = w->Next(Seconds(3));
+  ASSERT_TRUE(e.ok()) << e.status();
+  EXPECT_TRUE(e->object == *created);
+  Result<api::Service> cached = server.Get<api::Service>("default", "web");
+  ASSERT_TRUE(cached.ok());
+  EXPECT_TRUE(*cached == *created);
+  ListOptions paged;  // a paged List reads and parses the store's blob
+  paged.ns = "default";
+  paged.limit = 10;
+  Result<TypedList<api::Service>> listed = server.List<api::Service>(paged);
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed->items.size(), 1u);
+  EXPECT_TRUE(listed->items[0] == *created);
+}
+
+TEST(ReadPathTest, DecodeCacheSlotHoldsOneKeyAtATime) {
+  DecodeCache cache;
+  Pod a = SimplePod("default", "a");
+  const std::string a_blob = api::Encode(a);
+  a.meta.resource_version = 5;
+  cache.Seed(5, a);
+  Result<std::shared_ptr<const Pod>> got = cache.GetOrDecode<Pod>(5, a_blob, 5);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(**got == a);
+  EXPECT_EQ(cache.misses(), 0u);
+
+  // A second seed of a key already held is ignored: the held object is equal.
+  Pod other = a;
+  other.meta.labels["ignored"] = "yes";
+  cache.Seed(5, other);
+  EXPECT_TRUE(**cache.GetOrDecode<Pod>(5, a_blob, 5) == a);
+
+  // -5 (the prev_value of revision 5) has its own slot.
+  Pod prev = SimplePod("default", "a-prev");
+  Result<std::shared_ptr<const Pod>> p = cache.GetOrDecode<Pod>(-5, api::Encode(prev), 5);
+  ASSERT_TRUE(p.ok());
+  EXPECT_EQ((*p)->meta.name, "a-prev");
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_TRUE(**cache.GetOrDecode<Pod>(5, a_blob, 5) == a);
+
+  // Revision 5 + kSlots/2 (and 5 + kSlots) reuse 5's slot: each evicts the
+  // previous key, which then decodes again from its blob.
+  for (const int64_t far : {int64_t{5} + int64_t{DecodeCache::kSlots / 2},
+                            int64_t{5} + int64_t{DecodeCache::kSlots}}) {
+    const uint64_t misses = cache.misses();
+    Pod b = SimplePod("default", "b" + std::to_string(far));
+    Result<std::shared_ptr<const Pod>> got_b =
+        cache.GetOrDecode<Pod>(far, api::Encode(b), far);
+    ASSERT_TRUE(got_b.ok());
+    EXPECT_EQ((*got_b)->meta.name, b.meta.name);
+    EXPECT_EQ((*got_b)->meta.resource_version, far);
+    Result<std::shared_ptr<const Pod>> again = cache.GetOrDecode<Pod>(5, a_blob, 5);
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(**again == a);
+    EXPECT_EQ(cache.misses(), misses + 2);
+  }
+
+  // The kind tag is checked: a Service read of key 5 never gets the Pod.
+  api::Service svc;
+  svc.meta.ns = "default";
+  svc.meta.name = "svc";
+  Result<std::shared_ptr<const api::Service>> s =
+      cache.GetOrDecode<api::Service>(5, api::Encode(svc), 5);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ((*s)->meta.name, "svc");
+}
+
+TEST(ReadPathTest, SeedingRacesConcurrentWatchersAcrossSlotReuse) {
+  APIServer server({});
+  ASSERT_TRUE(server.List<Pod>().ok());  // the watch cache joins the race
+  constexpr int kPods = 4;
+  std::vector<Pod> pods;
+  for (int i = 0; i < kPods; ++i) {
+    Result<Pod> p = server.Create(SimplePod("default", "race-" + std::to_string(i)));
+    ASSERT_TRUE(p.ok());
+    pods.push_back(*p);
+  }
+  const int64_t from = server.store().CurrentRevision();
+  // Enough revisions that the ring wraps twice over: every slot is reused,
+  // including by keys kSlots revisions apart.
+  const int writes = static_cast<int>(DecodeCache::kSlots) + 512;
+  const int64_t last = from + writes;
+
+  kv::WatchParams raw_params;  // the blobs, for checking every delivery
+  raw_params.from_revision = from;
+  raw_params.buffer_capacity = static_cast<size_t>(writes) + 64;
+  Result<std::shared_ptr<kv::WatchChannel>> raw =
+      server.store().Watch(APIServer::KindPrefix<Pod>(), raw_params);
+  ASSERT_TRUE(raw.ok());
+
+  constexpr int kWatchers = 3;
+  std::vector<apiserver::TypedWatch<Pod>> watches;
+  for (int r = 0; r < kWatchers; ++r) {
+    WatchOptions wopts;
+    wopts.from_revision = from;
+    Result<apiserver::TypedWatch<Pod>> w = server.Watch<Pod>(wopts);
+    ASSERT_TRUE(w.ok());
+    watches.push_back(std::move(*w));
+  }
+  std::vector<std::map<int64_t, std::shared_ptr<const Pod>>> seen(kWatchers);
+  std::vector<std::thread> readers;
+  std::atomic<int> failures{0};
+  for (int r = 0; r < kWatchers; ++r) {
+    readers.emplace_back([&, r] {
+      for (;;) {
+        Result<WatchEvent<Pod>> e = watches[r].Next(Seconds(10));
+        if (!e.ok()) {
+          failures++;
+          return;
+        }
+        if (e->type != WatchEvent<Pod>::Type::kPut) continue;
+        seen[r][e->revision] = e->shared;
+        if (e->revision >= last) return;
+      }
+    });
+  }
+
+  std::thread writer([&] {
+    for (int i = 0; i < writes; ++i) {
+      Pod& p = pods[i % kPods];
+      p.meta.annotations["seq"] = std::to_string(i);
+      Result<Pod> updated = (i % 2 == 0) ? server.Update(p) : server.UpdateStatus(p);
+      if (!updated.ok()) {
+        failures++;
+        return;
+      }
+      p = *updated;
+    }
+  });
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  ASSERT_EQ(server.store().CurrentRevision(), last);
+
+  int checked = 0;
+  for (int64_t rev = from + 1; rev <= last; ++rev) {
+    Result<kv::Event> e = (*raw)->Next(Seconds(3));
+    ASSERT_TRUE(e.ok()) << e.status();
+    ASSERT_EQ(e->revision, rev);
+    Result<Pod> want = api::Decode<Pod>(e->value.str());
+    ASSERT_TRUE(want.ok());
+    want->meta.resource_version = rev;
+    for (int r = 0; r < kWatchers; ++r) {
+      auto it = seen[r].find(rev);
+      ASSERT_NE(it, seen[r].end()) << "watcher " << r << " missed revision " << rev;
+      ASSERT_TRUE(it->second);
+      ASSERT_TRUE(*it->second == *want) << "watcher " << r << " revision " << rev;
+      checked++;
+    }
+  }
+  EXPECT_EQ(checked, kWatchers * writes);
 }
 
 }  // namespace

@@ -99,15 +99,15 @@ TEST(ConversionTest, FingerprintIgnoresVolatileAndSuperOwnedFields) {
   mutated.spec.node_name = "node-7";
   mutated.status.phase = api::PodPhase::kRunning;
   mutated.status.pod_ip = "10.32.0.5";
-  EXPECT_EQ(DownwardFingerprint(shadow), DownwardFingerprint(mutated));
+  EXPECT_EQ(DownwardNormalized(shadow), DownwardNormalized(mutated));
   // But a real spec change is detected.
   api::Pod drifted = mutated;
   drifted.spec.containers[0].image = "nginx:v2";
-  EXPECT_NE(DownwardFingerprint(shadow), DownwardFingerprint(drifted));
+  EXPECT_NE(DownwardNormalized(shadow), DownwardNormalized(drifted));
   // And a label change too.
   api::Pod relabeled = mutated;
   relabeled.meta.labels["app"] = "canary";
-  EXPECT_NE(DownwardFingerprint(shadow), DownwardFingerprint(relabeled));
+  EXPECT_NE(DownwardNormalized(shadow), DownwardNormalized(relabeled));
 }
 
 TEST(ConversionTest, SyncerAnnotationsNeverFeedBack) {
@@ -118,7 +118,7 @@ TEST(ConversionTest, SyncerAnnotationsNeverFeedBack) {
   // see that as drift (otherwise: infinite sync loop).
   api::Pod stamped = tenant_pod;
   stamped.meta.annotations[kReadyAtAnnotation] = "12345";
-  EXPECT_EQ(DownwardFingerprint(ToSuper(m, stamped)), DownwardFingerprint(shadow));
+  EXPECT_EQ(DownwardNormalized(ToSuper(m, stamped)), DownwardNormalized(shadow));
 }
 
 TEST(ConversionTest, OriginRoundTrip) {
