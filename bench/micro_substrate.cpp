@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the substrate hot paths: kv store
-// operations, watch fan-out, codec, the fair work queue, and the scheduler
-// filter cost — the building blocks whose constants the calibration in
+// operations, watch fan-out, codec, the fair work queue, the executor's
+// timers, and the scheduler filter cost — the building blocks whose constants the calibration in
 // EXPERIMENTS.md rests on.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "api/codec.h"
 #include "apiserver/apiserver.h"
 #include "client/fairqueue.h"
+#include "common/executor.h"
 #include "kv/kvstore.h"
 #include "scheduler/predicates.h"
 
@@ -279,6 +282,41 @@ void BM_TraceRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceRecord);
 #endif  // VC_HAS_TRACE
+
+// Arming and cancelling one timer on an executor that already holds N armed
+// timers: the timer service's per-arm cost as its population grows. The
+// clock is manual, so nothing fires inside the timed loop. Cancellation is
+// lazy (the entry stays armed until its deadline), so every 1024 iterations
+// the loop advances the clock 1 ms untimed and waits until the cancelled
+// entries are reaped, keeping the population at N.
+void BM_TimerArmCancel(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  ManualClock clock;
+  Executor::Options o;
+  o.threads = 1;
+  o.clock = &clock;
+  Executor exec(o);
+  std::vector<TimerHandle> held;
+  held.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const Duration delay = std::chrono::hours(1) + Millis(static_cast<int64_t>(i));
+    held.push_back(exec.RunAfter(delay, [] {}));
+  }
+  int64_t armed = 0;
+  for (auto _ : state) {
+    TimerHandle h = exec.RunAfter(Millis(1), [] {});
+    benchmark::DoNotOptimize(h.Cancel());
+    if (++armed % 1024 == 0) {
+      state.PauseTiming();
+      clock.Advance(Millis(1));
+      while (exec.pending_timers() > n) std::this_thread::yield();
+      exec.Wait();
+      state.ResumeTiming();
+    }
+  }
+  for (TimerHandle& h : held) h.Cancel();
+}
+BENCHMARK(BM_TimerArmCancel)->Arg(16)->Arg(1024)->Arg(65536);
 
 void BM_SchedulerFilter(benchmark::State& state) {
   std::vector<std::shared_ptr<const api::Node>> nodes;

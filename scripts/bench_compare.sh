@@ -20,7 +20,8 @@ BASELINE_REF="${BASELINE_REF:-HEAD~1}"
 OUT="${OUT:-BENCH_storage.json}"
 # BM_DispatchAdmit runs as a /0 (untraced) vs /1 (traced) axis on checkouts
 # that have vc::trace; BM_TraceRecord is the raw per-event Emit cost.
-FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord'
+# BM_TimerArmCancel/N arms and cancels one executor timer among N armed ones.
+FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord|BM_TimerArmCancel'
 NPROC="$(nproc)"
 REPS=3
 

@@ -26,16 +26,17 @@ run_preset() {
 case "${1:-default}" in
   default)
     run_preset default
-    # The common/executor/kv/kv_durability/fairqueue/dispatch/read_path/
-    # storage/trace/runtime/syncer/futurework/scheduler/kubelet suites carry
-    # the `concurrency` label; any data race in the shared executor stack, the
-    # kv store (commit, Get, List and paging under its one store lock), the
-    # storage fan-out, or the reconciler runtime (which every control loop
-    # runs on: the scheduler, the kubelets, and the syncer for every kind,
-    # custom resources included) is a hard failure. The storage/dispatch suites
-    # also drain the vc::trace history and have the checker certify ordering
-    # (no-gap/no-dup, read-your-write, span pairing, commit monotonicity) on
-    # the tsan-interleaved runs.
+    # The common/executor/kv/kv_durability/fairqueue/dispatch/informer/
+    # read_path/storage/trace/runtime/syncer/futurework/scheduler/kubelet
+    # suites carry the `concurrency` label; any data race in the shared
+    # executor stack, the kv store (commit, Get, List and paging under its one
+    # store lock), the storage fan-out, the informer's watch delivery, or the
+    # reconciler runtime (which every control loop runs on: the scheduler,
+    # the kubelets, and the syncer for every kind, custom resources included)
+    # is a hard failure. The storage/dispatch suites also drain the vc::trace
+    # history and have the checker certify ordering (no-gap/no-dup,
+    # read-your-write, span pairing, commit monotonicity) on the
+    # tsan-interleaved runs.
     run_preset tsan -L concurrency
     # Same suites under ASan+UBSan: tsan proves ordering, asan proves watch
     # events, list snapshots and WAL batches that alias the store's value

@@ -14,7 +14,6 @@ APIServer::APIServer(Options opts) : opts_(std::move(opts)) {
     store_ = opts_.store;  // front end over a shared store (FrontendTier)
   } else {
     kv::KvStore::Options store_opts = opts_.store_options;
-    if (opts_.max_log_bytes > 0) store_opts.max_log_bytes = opts_.max_log_bytes;
     store_opts.executor = exec_;
     store_ = std::make_shared<kv::KvStore>(std::move(store_opts));
   }
@@ -23,7 +22,6 @@ APIServer::APIServer(Options opts) : opts_(std::move(opts)) {
   dopts.max_inflight = opts_.max_inflight;
   dopts.fairness = opts_.fairness;
   dopts.queue_limit = opts_.queue_limit;
-  dopts.max_wait = opts_.max_queue_wait;
   dopts.best_effort_max_wait = opts_.best_effort_max_wait;
   dispatcher_ = std::make_unique<RequestDispatcher>(dopts);
   decode_cache_ = std::make_shared<DecodeCache>();

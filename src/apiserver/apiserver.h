@@ -68,26 +68,40 @@ struct WatchEvent {
   Type type = Type::kPut;
   T object;           // new state for kPut; last known state for kDelete
   int64_t revision = 0;
-  // When the delivery came through the server's DecodeCache, the memoized
-  // decoded object (resource_version already stamped): the writer's own
-  // object for a write this front end committed, else one shared parse of
-  // the blob. N informers watching one kind share it; consumers that can hold a
-  // shared_ptr<const T> (ObjectCache::UpsertShared) avoid copying entirely.
+  // The memoized decoded object from the server's DecodeCache
+  // (resource_version already stamped): the writer's own object for a write
+  // this front end committed, else one shared parse of the blob. N informers
+  // watching one kind share it; consumers that can hold a shared_ptr<const T>
+  // (ObjectCache::UpsertShared) read it through TypedWatch::NextShared and
+  // skip the copy into `object` entirely.
   std::shared_ptr<const T> shared;
 };
 
 // Typed view over a kv watch channel; decodes values lazily per event,
-// memoized through the server's DecodeCache when one is attached.
+// memoized through the server's DecodeCache.
 template <typename T>
 class TypedWatch {
  public:
   TypedWatch() = default;
-  explicit TypedWatch(std::shared_ptr<kv::WatchChannel> ch,
-                      std::shared_ptr<DecodeCache> decode = nullptr)
+  TypedWatch(std::shared_ptr<kv::WatchChannel> ch, std::shared_ptr<DecodeCache> decode)
       : ch_(std::move(ch)), decode_(std::move(decode)) {}
 
   // Same status contract as kv::WatchChannel::Next (Timeout/Aborted/Gone).
   Result<WatchEvent<T>> Next(Duration timeout) {
+    Result<WatchEvent<T>> out = NextShared(timeout);
+    if (out.ok() && out->shared) out->object = *out->shared;
+    return out;
+  }
+
+  // Non-blocking Next: Timeout status when the buffer is empty but the
+  // channel is healthy; Aborted/Gone when it is dead. Push-driven consumers
+  // pair this with SetSignal.
+  Result<WatchEvent<T>> TryNext() { return Next(Duration::zero()); }
+
+  // Next without the copy into `object`, which stays default-constructed:
+  // the state is in `shared` only, and `shared` is null for a bookmark and
+  // for a delete with no prior state.
+  Result<WatchEvent<T>> NextShared(Duration timeout) {
     if (!ch_) return InternalError("watch not started");
     Result<kv::Event> e = ch_->Next(timeout);
     if (!e.ok()) return e.status();
@@ -101,30 +115,15 @@ class TypedWatch {
     out.type = is_put ? WatchEvent<T>::Type::kPut : WatchEvent<T>::Type::kDelete;
     const kv::Blob& blob = is_put ? e->value : e->prev_value;
     if (blob.empty()) return out;  // delete with no prior state
-    if (decode_) {
-      // DecodeCache key: +rev = the event's value blob, -rev = its prev_value
-      // blob (revisions are store-wide unique, so this names exactly one
-      // blob). Every TypedWatch and the WatchCache share one object per event.
-      Result<std::shared_ptr<const T>> obj =
-          decode_->GetOrDecode<T>(is_put ? e->revision : -e->revision, blob, e->revision);
-      if (!obj.ok()) return obj.status();
-      out.shared = std::move(*obj);
-      out.object = *out.shared;
-      return out;
-    }
-    Result<T> obj = api::Decode<T>(blob.str());
+    // DecodeCache key: +rev = the event's value blob, -rev = its prev_value
+    // blob (revisions are store-wide unique, so this names exactly one
+    // blob). Every TypedWatch and the WatchCache share one object per event.
+    Result<std::shared_ptr<const T>> obj =
+        decode_->GetOrDecode<T>(is_put ? e->revision : -e->revision, blob, e->revision);
     if (!obj.ok()) return obj.status();
-    out.object = std::move(*obj);
-    // resourceVersion is never stored inside the blob; stamp it from the
-    // event revision so caches stay strictly ordered.
-    out.object.meta.resource_version = e->revision;
+    out.shared = std::move(*obj);
     return out;
   }
-
-  // Non-blocking Next: Timeout status when the buffer is empty but the
-  // channel is healthy; Aborted/Gone when it is dead. Push-driven consumers
-  // pair this with SetSignal.
-  Result<WatchEvent<T>> TryNext() { return Next(Duration::zero()); }
 
   void Cancel() {
     if (ch_) ch_->Cancel();
@@ -249,7 +248,6 @@ class APIServer {
     bool create_default_namespaces = true;
     // Injected per-request service latency simulating handler + network cost.
     Duration request_latency = Duration::zero();
-    size_t watch_buffer = 16384;
     // Maximum concurrently-executing requests (kube-apiserver's
     // --max-requests-inflight). 0 = unlimited. With a limit, a tenant
     // flooding a SHARED apiserver visibly delays everyone else — the Fig. 1
@@ -262,24 +260,24 @@ class APIServer {
     // turns it on. Remaining knobs mirror RequestDispatcher::Options.
     bool fairness = false;
     size_t queue_limit = 1024;
-    Duration max_queue_wait = Seconds(1);
     Duration best_effort_max_wait = Millis(50);
     // Per-kind watch cache serving Get and unpaged List from decoded objects
     // (kube's watchCache). Reads fall back to the store whenever the cache
-    // cannot answer with read-your-write freshness within cache_fresh_timeout
-    // (real time, like kube's waitUntilFreshAndBlock deadline).
+    // cannot answer with read-your-write freshness within kCacheFreshTimeout.
     bool enable_watch_cache = true;
-    Duration cache_fresh_timeout = Millis(250);
-    // Byte bound on the store's watch-replay log (0 = event-count bound
-    // only); see kv::KvStore::Options::max_log_bytes.
-    size_t max_log_bytes = 0;
     // Template for the owned store when `store` is unset: WAL durability
     // (`store_options.wal_dir` makes this control plane survive a restart
-    // with its revision stream intact), replay-log bounds. `max_log_bytes`
-    // above and the server's executor are merged in on top for backward
-    // compatibility.
+    // with its revision stream intact), replay-log bounds. The server's
+    // executor is merged in on top.
     kv::KvStore::Options store_options;
   };
+
+  // Events a watch channel buffers before it breaks with Gone.
+  static constexpr size_t kWatchBuffer = 16384;
+  // How long a cache-served read waits for read-your-write freshness before
+  // falling back to the store (real time, like kube's waitUntilFreshAndBlock
+  // deadline).
+  static constexpr Duration kCacheFreshTimeout = Millis(250);
 
   explicit APIServer(Options opts);
 
@@ -358,7 +356,7 @@ class APIServer {
     if (opts_.enable_watch_cache) {
       std::shared_ptr<WatchCache<T>> cache = CacheFor<T>();
       Result<std::shared_ptr<const T>> hit = cache->GetFresh(
-          Key<T>(ns, name), store_->CurrentRevision(), opts_.cache_fresh_timeout);
+          Key<T>(ns, name), store_->CurrentRevision(), kCacheFreshTimeout);
       if (hit.ok()) {
         stats_.cache_served_gets++;
         return T(**hit);  // resource_version already stamped at decode
@@ -406,7 +404,7 @@ class APIServer {
       const std::vector<std::string> paths = fields->Paths();
       TypedList<T> out;
       const bool served = cache->SnapshotScan(
-          prefix, store_->CurrentRevision(), opts_.cache_fresh_timeout, &out.revision,
+          prefix, store_->CurrentRevision(), kCacheFreshTimeout, &out.revision,
           [&](const std::string&, const typename WatchCache<T>::Item& item) {
             if (selecting) {
               if (!labels->Empty() && !labels->Matches(item.obj->meta.labels)) return;
@@ -551,7 +549,7 @@ class APIServer {
     std::string prefix = opts.ns.empty() ? KindPrefix<T>() : Key<T>(opts.ns, "");
     kv::WatchParams params;
     params.from_revision = opts.from_revision;
-    params.buffer_capacity = opts_.watch_buffer;
+    params.buffer_capacity = kWatchBuffer;
     params.bookmark_interval = opts.bookmark_interval;
     if (!labels->Empty() || !fields->Empty()) {
       params.filter = MakeSelectorFilter(std::move(*labels), std::move(*fields));

@@ -11,10 +11,8 @@ namespace {
 // fairness=false keeps the pre-APF single queue: one flow, one band's queue.
 constexpr const char* kSharedFlow = "-";
 
-std::string RetrySuffix(Duration retry_after) {
-  auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(retry_after);
-  return " (retry-after=" + std::to_string(ms.count()) + "ms)";
-}
+// Advisory client backoff stamped into 429 messages.
+constexpr const char* kRetryAfter = " (retry-after=100ms)";
 
 // Trace timestamps reuse the dispatcher's own clock reads (EmitAt) so
 // tracing never adds a clock read to the admit/release hot path.
@@ -139,7 +137,7 @@ Result<RequestDispatcher::Ticket> RequestDispatcher::Admit(const RequestContext&
     trace::EmitAt(trace::Component::kDispatch, trace::Verb::kShed, trace, 0,
                   "queue-full", band_arg, Ns(arrival));
     return TooManyRequestsError(std::string("queue full for ") + BandName(pb) +
-                                " band" + RetrySuffix(opts_.retry_after));
+                                " band" + kRetryAfter);
   }
 
   band.queued++;
@@ -193,8 +191,7 @@ Result<RequestDispatcher::Ticket> RequestDispatcher::Admit(const RequestContext&
   trace::Emit(trace::Component::kDispatch, trace::Verb::kShed, trace, 0,
               "wait-budget", band_arg);
   return TooManyRequestsError(std::string(BandName(pb)) +
-                              " band saturated: no slot within wait budget" +
-                              RetrySuffix(opts_.retry_after));
+                              " band saturated: no slot within wait budget" + kRetryAfter);
 }
 
 void RequestDispatcher::ReleaseSlot(PriorityBand pb, uint64_t epoch, TimePoint start,

@@ -70,8 +70,6 @@ class RequestDispatcher {
     // Wait budget for a queued request before it sheds with 429.
     Duration max_wait = Seconds(1);
     Duration best_effort_max_wait = Millis(50);
-    // Advisory client backoff stamped into 429 messages ("retry-after=..ms").
-    Duration retry_after = Millis(100);
   };
 
   // RAII inflight slot. Releasing records the execution latency of the

@@ -143,13 +143,11 @@ class WatchCache {
   };
 
   WatchCache(kv::KvStore* store, std::string prefix,
-             std::shared_ptr<DecodeCache> decode, std::shared_ptr<Executor> exec,
-             size_t watch_buffer = 1 << 16)
+             std::shared_ptr<DecodeCache> decode, std::shared_ptr<Executor> exec)
       : store_(store),
         prefix_(std::move(prefix)),
         decode_(std::move(decode)),
-        exec_(std::move(exec)),
-        watch_buffer_(watch_buffer) {
+        exec_(std::move(exec)) {
     Rebuild();  // synchronous so the first read after construction can hit
   }
 
@@ -224,6 +222,9 @@ class WatchCache {
   }
 
  private:
+  // Events the cache's store watch buffers before it breaks and rebuilds.
+  static constexpr size_t kWatchBuffer = 1 << 16;
+
   // (Re-)prime from a store snapshot and re-arm the event stream. Runs in the
   // constructor and on the apply strand after the watch breaks (compaction
   // overrun, BreakWatches/Restart).
@@ -241,7 +242,7 @@ class WatchCache {
     kv::ListResult snap = store_->List(prefix_);
     kv::WatchParams params;
     params.from_revision = snap.revision;
-    params.buffer_capacity = watch_buffer_;
+    params.buffer_capacity = kWatchBuffer;
     // Every store revision must reach us (as data or bookmark) or freshness
     // waits would stall whenever other kinds are being written.
     params.bookmark_interval = 1;
@@ -398,7 +399,6 @@ class WatchCache {
   const std::string prefix_;
   std::shared_ptr<DecodeCache> decode_;
   std::shared_ptr<Executor> exec_;
-  const size_t watch_buffer_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -35,16 +35,14 @@
 namespace vc::client {
 
 // List+Watch binding to one apiserver. Carries the reflector's scope: the
-// namespace, server-side selectors, list page size, and the watch bookmark
-// interval. Selectors are applied by the SERVER, so a heavily filtered
-// reflector decodes (and transfers) only the objects it actually caches.
+// namespace, server-side selectors, and the watch bookmark interval.
+// Selectors are applied by the SERVER, so a heavily filtered reflector
+// decodes (and transfers) only the objects it actually caches.
 template <typename T>
 struct ReflectorOptions {
   std::string ns;              // "" = all namespaces
   std::string label_selector;  // kubectl grammar, evaluated server-side
   std::string field_selector;
-  // LIST page size (objects per continue page); 0 = single unpaged list.
-  size_t page_size = 0;
   // Bookmark cadence for the watch (revisions of invisible churn between
   // bookmarks); 0 disables bookmarks. Keep > 0 for selective watchers or an
   // idle reflector's resume revision falls behind compaction.
@@ -64,30 +62,13 @@ class ListerWatcher {
                 apiserver::RequestContext ctx = apiserver::RequestContext::Loopback())
       : server_(server), opts_(std::move(opts)), ctx_(std::move(ctx)) {}
 
-  // Follows continue tokens until the full (filtered) set is assembled, so
-  // callers see one atomic snapshot. The returned revision is the FIRST
-  // page's: watching from there replays anything that moved while later
-  // pages were fetched (duplicate puts are harmless; gaps are not).
+  // One unpaged (filtered) list: a single snapshot and its revision.
   Result<apiserver::TypedList<T>> List() const {
     apiserver::ListOptions lo;
     lo.ns = opts_.ns;
     lo.label_selector = opts_.label_selector;
     lo.field_selector = opts_.field_selector;
-    lo.limit = opts_.page_size;
-    apiserver::TypedList<T> all;
-    while (true) {
-      Result<apiserver::TypedList<T>> page = server_->List<T>(lo, ctx_);
-      if (!page.ok()) return page.status();
-      if (all.revision == 0) all.revision = page->revision;
-      if (all.items.empty()) {
-        all.items = std::move(page->items);
-      } else {
-        all.items.insert(all.items.end(), std::make_move_iterator(page->items.begin()),
-                         std::make_move_iterator(page->items.end()));
-      }
-      if (!page->more) return all;
-      lo.continue_token = page->continue_token;
-    }
+    return server_->List<T>(lo, ctx_);
   }
 
   Result<apiserver::TypedWatch<T>> Watch(int64_t rv) const {
@@ -120,10 +101,6 @@ class SharedInformer {
  public:
   struct Options {
     Clock* clock = RealClock::Get();
-    // Legacy polling granularity; event delivery is push-signalled now and
-    // this knob is unused.
-    Duration watch_poll = Millis(100);
-    Duration relist_backoff = Millis(20);
     Duration resync_period = Duration::zero();  // 0 = no resync
     // Invoked at the start of every strand step; the returned token lives for
     // that step. Used e.g. to enroll the step's CPU time in a CpuTimeGroup
@@ -206,6 +183,9 @@ class SharedInformer {
 
  private:
   using Ptr = typename ObjectCache<T>::Ptr;
+
+  // Delay before retrying a failed list or watch.
+  static constexpr Duration kRelistBackoff = Millis(20);
 
   void Dispatch(const Ptr& old_obj, const Ptr& new_obj) {
     for (const EventHandlers<T>& h : handlers_) {
@@ -352,7 +332,7 @@ class SharedInformer {
     }
     // Drain a bounded batch so one chatty informer cannot hog a pool worker.
     for (int budget = 0; budget < 64; ++budget) {
-      Result<apiserver::WatchEvent<T>> ev = watch->TryNext();
+      Result<apiserver::WatchEvent<T>> ev = watch->NextShared(Duration::zero());
       if (!ev.ok()) {
         if (ev.status().code() == Code::kTimeout) return false;  // idle, healthy
         // Gone (overflow/restart/shutdown) or Aborted: drop the channel; the
@@ -369,14 +349,14 @@ class SharedInformer {
         bookmarks_.fetch_add(1);
         continue;
       }
+      // The server's memoized decode: all informers watching this kind share
+      // one immutable object per event (see WatchEvent::shared).
+      if (!ev->shared) continue;  // delete with no prior state
       if (ev->type == apiserver::WatchEvent<T>::Type::kPut) {
-        // Prefer the server's memoized decode: all informers watching this
-        // kind share one immutable object per event (see WatchEvent::shared).
-        Ptr fresh = ev->shared ? ev->shared : std::make_shared<const T>(ev->object);
-        Ptr old = cache_.UpsertShared(fresh);
-        Dispatch(old, fresh);
+        Ptr old = cache_.UpsertShared(ev->shared);
+        Dispatch(old, ev->shared);
       } else {
-        Ptr old = cache_.Delete(ObjectCache<T>::KeyOf(ev->object));
+        Ptr old = cache_.Delete(ObjectCache<T>::KeyOf(*ev->shared));
         if (old) Dispatch(old, nullptr);
       }
     }
@@ -386,7 +366,7 @@ class SharedInformer {
   void ArmBackoff() {
     std::lock_guard<std::mutex> l(sm_mu_);
     if (stop_.load() || !exec_) return;
-    backoff_timer_ = exec_->RunAfter(opts_.relist_backoff, [this] { ScheduleStep(); });
+    backoff_timer_ = exec_->RunAfter(kRelistBackoff, [this] { ScheduleStep(); });
   }
 
   // Re-deliver every cached object as a self-update (client-go "resync").

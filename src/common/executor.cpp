@@ -36,8 +36,8 @@ bool TimerHandle::Cancel() {
   const bool prevented = !state_->running && !state_->done;
   state_->cancelled = true;
   if (prevented) {
-    // Still sitting in the wheel (or queued but not started): the fire task
-    // will observe `cancelled` and return without running the callback.
+    // Still armed (or queued but not started): the fire task will observe
+    // `cancelled` and return without running the callback.
     state_->done = true;
     state_->cv.notify_all();
     return true;
@@ -58,15 +58,11 @@ bool TimerHandle::active() const {
 // Executor: construction / pool
 
 Executor::Executor(Options opts)
-    : clock_(opts.clock != nullptr ? opts.clock : RealClock::Get()),
-      name_(opts.name),
-      tick_duration_(Millis(1)),
-      epoch_(clock_->Now()) {
+    : clock_(opts.clock != nullptr ? opts.clock : RealClock::Get()), name_(opts.name) {
   target_ = opts.threads;
   if (target_ <= 0) {
     target_ = std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
   }
-  max_live_ = target_ + std::max(0, opts.max_spare_threads);
   {
     std::lock_guard<std::mutex> l(mu_);
     for (int i = 0; i < target_; ++i) SpawnWorkerLocked();
@@ -139,7 +135,7 @@ void Executor::WorkerLoop() {
 void Executor::OnBlocked() {
   std::lock_guard<std::mutex> l(mu_);
   ++blocked_;
-  if (!pool_shutdown_ && live_ - blocked_ < target_ && live_ < max_live_) {
+  if (!pool_shutdown_ && live_ - blocked_ < target_ && live_ < target_ + kMaxSpareThreads) {
     SpawnWorkerLocked();
   }
 }
@@ -177,140 +173,66 @@ uint64_t Executor::tasks_run() const { return tasks_run_.load(std::memory_order_
 
 size_t Executor::pending_timers() const {
   std::lock_guard<std::mutex> l(timer_mu_);
-  return timer_count_;
+  return timers_.size();
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel
-//
-// Ticks are 1ms from `epoch_`. Level L slot width is 64^L ticks; a timer due
-// in `delta` ticks lives at level L where 64^L <= delta < 64^(L+1), indexed by
-// bits [6L, 6L+6) of its absolute due tick, so cascading a slot re-files its
-// entries into lower levels with no re-sorting. Deadlines beyond the wheel
-// horizon (~4.6h) sit in an overflow map. Clock jumps of >= 64 ticks (manual
-// clocks fast-forwarding) take a bulk path that sweeps every slot once.
+// Timers
 
-int64_t Executor::TickOf(TimePoint tp) const {
-  const Duration d = tp - epoch_;
-  if (d <= Duration::zero()) return 0;
-  // Round deadlines up so a timer never fires before its due time.
-  return (d.count() + tick_duration_.count() - 1) / tick_duration_.count();
-}
-
-int64_t Executor::FloorTickOf(TimePoint tp) const {
-  const Duration d = tp - epoch_;
-  if (d <= Duration::zero()) return 0;
-  return d.count() / tick_duration_.count();
-}
-
-void Executor::ArmLocked(const TimerPtr& state, std::vector<TimerPtr>* due) {
-  AddTimerLocked(state, due);
-}
-
-void Executor::AddTimerLocked(const TimerPtr& state, std::vector<TimerPtr>* due) {
-  const int64_t dtick = TickOf(state->deadline);
-  const int64_t delta = dtick - tick_;
-  if (delta <= 0) {
-    due->push_back(state);
-    return;
-  }
-  int64_t span = kWheelSlots;
-  for (int level = 0; level < kWheelLevels; ++level, span <<= kWheelBits) {
-    if (delta < span) {
-      const int idx = static_cast<int>((dtick >> (kWheelBits * level)) & (kWheelSlots - 1));
-      wheel_[level][idx].push_back(state);
-      ++timer_count_;
-      return;
-    }
-  }
-  overflow_.emplace(dtick, state);
-  ++timer_count_;
-}
-
-void Executor::CascadeLocked(int level, std::vector<TimerPtr>* due) {
-  if (level >= kWheelLevels) {
-    // Pull overflow entries that now fit in the wheel.
-    const int64_t horizon = tick_ + (int64_t{1} << (kWheelBits * kWheelLevels));
-    while (!overflow_.empty() && overflow_.begin()->first < horizon) {
-      TimerPtr s = overflow_.begin()->second;
-      overflow_.erase(overflow_.begin());
-      --timer_count_;
-      AddTimerLocked(s, due);
-    }
-    return;
-  }
-  const int idx = static_cast<int>((tick_ >> (kWheelBits * level)) & (kWheelSlots - 1));
-  std::vector<TimerPtr> entries = std::move(wheel_[level][idx]);
-  wheel_[level][idx].clear();
-  timer_count_ -= entries.size();
-  if (idx == 0) CascadeLocked(level + 1, due);
-  for (const TimerPtr& s : entries) AddTimerLocked(s, due);
-}
-
-void Executor::AdvanceLocked(int64_t now_tick, std::vector<TimerPtr>* due) {
-  if (now_tick <= tick_) return;
-  if (now_tick - tick_ >= kWheelSlots) {
-    // Bulk path: collect everything and re-file against the new tick. Work is
-    // O(pending timers), independent of how far the clock jumped.
-    std::vector<TimerPtr> all;
-    for (auto& level : wheel_) {
-      for (auto& slot : level) {
-        all.insert(all.end(), slot.begin(), slot.end());
-        slot.clear();
-      }
-    }
-    for (auto& [t, s] : overflow_) all.push_back(s);
-    overflow_.clear();
-    timer_count_ = 0;
-    tick_ = now_tick;
-    for (const TimerPtr& s : all) AddTimerLocked(s, due);
-    return;
-  }
-  while (tick_ < now_tick) {
-    ++tick_;
-    const int idx = static_cast<int>(tick_ & (kWheelSlots - 1));
-    if (idx == 0) CascadeLocked(1, due);
-    std::vector<TimerPtr> entries = std::move(wheel_[0][idx]);
-    wheel_[0][idx].clear();
-    timer_count_ -= entries.size();
-    // Everything filed in a level-0 slot is due exactly at that tick.
-    for (const TimerPtr& s : entries) due->push_back(s);
-  }
-}
-
-int64_t Executor::NextWakeTickLocked() const {
-  if (timer_count_ == 0) return -1;
-  for (int64_t t = tick_ + 1; t <= tick_ + kWheelSlots - 1; ++t) {
-    if (!wheel_[0][t & (kWheelSlots - 1)].empty()) return t;
-  }
-  // Nothing in level 0: sleep to the next cascade boundary (<= 64 ticks out),
-  // which will re-file upper-level entries downward.
-  return (tick_ & ~static_cast<int64_t>(kWheelSlots - 1)) + kWheelSlots;
+void Executor::Retire(const TimerPtr& state) {
+  std::lock_guard<std::mutex> sl(state->mu);
+  state->cancelled = true;
+  state->done = true;
+  state->cv.notify_all();
 }
 
 void Executor::TimerLoop() {
   const bool manual = clock_->TicksManually();
   std::unique_lock<std::mutex> l(timer_mu_);
   while (!timer_stop_) {
+    const TimePoint now = clock_->Now();
     std::vector<TimerPtr> due;
-    AdvanceLocked(FloorTickOf(clock_->Now()), &due);
+    while (!timers_.empty() && timers_.begin()->first <= now) {
+      due.push_back(std::move(timers_.begin()->second));
+      timers_.erase(timers_.begin());
+    }
     if (!due.empty()) {
       l.unlock();
       for (const TimerPtr& s : due) FireTimer(s);
       l.lock();
       continue;
     }
-    const int64_t wake = NextWakeTickLocked();
-    if (manual || wake < 0) {
+    if (manual || timers_.empty()) {
       // Manual clocks signal via the tick listener; otherwise there is
       // nothing to wait for until a new timer arrives.
       timer_cv_.wait(l);
-      continue;
+    } else {
+      timer_cv_.wait_for(l, timers_.begin()->first - now);
     }
-    const TimePoint wake_tp = epoch_ + wake * tick_duration_;
-    const TimePoint now = clock_->Now();
-    const Duration d = wake_tp > now ? wake_tp - now : tick_duration_;
-    timer_cv_.wait_for(l, d);
+  }
+}
+
+void Executor::Schedule(const TimerPtr& state) {
+  const bool due = state->deadline <= clock_->Now();
+  bool stopped;
+  bool earliest = false;
+  {
+    std::lock_guard<std::mutex> l(timer_mu_);
+    stopped = timer_stop_;
+    if (!stopped && !due) {
+      const auto it = timers_.emplace(state->deadline, state);
+      earliest = it == timers_.begin();
+    }
+  }
+  if (stopped) {
+    Retire(state);
+  } else if (due) {
+    FireTimer(state);
+  } else if (earliest && !clock_->TicksManually()) {
+    // The timer thread sleeps until the earliest deadline; wake it to
+    // shorten that sleep. Under a manual clock it sleeps until the next
+    // Advance, and the tick listener wakes it then.
+    timer_cv_.notify_all();
   }
 }
 
@@ -338,91 +260,27 @@ void Executor::FireTimer(const TimerPtr& state) {
       }
       state->cv.notify_all();
     }
-    if (rearm) {
-      std::vector<TimerPtr> due;
-      bool stopped;
-      {
-        std::lock_guard<std::mutex> tl(timer_mu_);
-        stopped = timer_stop_;
-        if (!stopped) ArmLocked(state, &due);
-      }
-      if (stopped) {
-        std::lock_guard<std::mutex> sl(state->mu);
-        state->done = true;
-        state->cv.notify_all();
-      } else {
-        timer_cv_.notify_all();
-        // A periodic timer that is already due again (period shorter than the
-        // elapsed tick) fires from here rather than waiting for the wheel.
-        for (const TimerPtr& s : due) FireTimer(s);
-      }
-    }
+    if (rearm) Schedule(state);
   });
-  if (!ok) {
-    std::lock_guard<std::mutex> sl(state->mu);
-    state->done = true;
-    state->cv.notify_all();
-  }
+  if (!ok) Retire(state);
+}
+
+TimerHandle Executor::Arm(Duration delay, Duration period, std::function<void()> fn) {
+  auto state = std::make_shared<TimerState>();
+  state->fn = std::move(fn);
+  state->period = period;
+  state->deadline = clock_->Now() + std::max(Duration::zero(), delay);
+  Schedule(state);
+  return TimerHandle(std::move(state));
 }
 
 TimerHandle Executor::RunAfter(Duration delay, std::function<void()> fn) {
-  auto state = std::make_shared<TimerState>();
-  state->fn = std::move(fn);
-  state->deadline = clock_->Now() + std::max(Duration::zero(), delay);
-  bool fire_now = false;
-  {
-    std::lock_guard<std::mutex> l(timer_mu_);
-    if (timer_stop_) {
-      std::lock_guard<std::mutex> sl(state->mu);
-      state->done = true;
-      return TimerHandle(std::move(state));
-    }
-    if (delay <= Duration::zero()) {
-      fire_now = true;
-    } else {
-      std::vector<TimerPtr> due;
-      ArmLocked(state, &due);
-      if (!due.empty()) fire_now = true;  // already past due on this clock
-    }
-  }
-  TimerHandle h(state);
-  if (fire_now) {
-    FireTimer(state);
-  } else {
-    timer_cv_.notify_all();
-  }
-  return h;
+  return Arm(delay, Duration::zero(), std::move(fn));
 }
 
 TimerHandle Executor::RunEvery(Duration initial_delay, Duration period,
                                std::function<void()> fn) {
-  auto state = std::make_shared<TimerState>();
-  state->fn = std::move(fn);
-  state->period = std::max<Duration>(tick_duration_, period);
-  state->deadline = clock_->Now() + std::max(Duration::zero(), initial_delay);
-  bool fire_now = false;
-  {
-    std::lock_guard<std::mutex> l(timer_mu_);
-    if (timer_stop_) {
-      std::lock_guard<std::mutex> sl(state->mu);
-      state->done = true;
-      return TimerHandle(std::move(state));
-    }
-    if (initial_delay <= Duration::zero()) {
-      fire_now = true;
-    } else {
-      std::vector<TimerPtr> due;
-      ArmLocked(state, &due);
-      if (!due.empty()) fire_now = true;
-    }
-  }
-  TimerHandle h(state);
-  if (fire_now) {
-    FireTimer(state);
-  } else {
-    timer_cv_.notify_all();
-  }
-  return h;
+  return Arm(initial_delay, std::max(kMinPeriod, period), std::move(fn));
 }
 
 TimerHandle Executor::RunEvery(Duration period, std::function<void()> fn) {
@@ -439,30 +297,16 @@ void Executor::Shutdown() {
     shut_ = true;
   }
   if (has_tick_listener_) clock_->RemoveTickListener(tick_listener_);
-  std::vector<TimerPtr> pending;
+  std::multimap<TimePoint, TimerPtr> pending;
   {
     std::lock_guard<std::mutex> l(timer_mu_);
     timer_stop_ = true;
-    for (auto& level : wheel_) {
-      for (auto& slot : level) {
-        pending.insert(pending.end(), slot.begin(), slot.end());
-        slot.clear();
-      }
-    }
-    for (auto& [t, s] : overflow_) pending.push_back(s);
-    overflow_.clear();
-    timer_count_ = 0;
+    pending.swap(timers_);
   }
   timer_cv_.notify_all();
   if (timer_thread_.joinable()) timer_thread_.join();
-  // Timers still in the wheel never made it to the pool: mark them dead so
-  // Cancel()/active() observers resolve.
-  for (const TimerPtr& s : pending) {
-    std::lock_guard<std::mutex> sl(s->mu);
-    s->cancelled = true;
-    s->done = true;
-    s->cv.notify_all();
-  }
+  // Armed timers never made it to the pool.
+  for (const auto& [deadline, s] : pending) Retire(s);
   std::vector<std::thread> workers;
   {
     std::lock_guard<std::mutex> l(mu_);

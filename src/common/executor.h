@@ -3,25 +3,28 @@
 // The paper's §III-C centralization argument applied to our own threading:
 // instead of every controller / worker pool / retry pump / heartbeat loop /
 // per-tenant scan owning a dedicated thread (O(tenants × components) threads),
-// all components share one bounded worker pool and schedule time-based work on
-// a hierarchical timer wheel. Thread count stays O(hardware concurrency)
-// regardless of how many tenants are attached.
+// all components share one bounded worker pool and one timer thread that
+// keeps the armed timers in a single deadline-ordered map. Thread count stays
+// O(hardware concurrency) regardless of how many tenants are attached.
 //
 // - Submit(fn): run fn on the shared pool. Returns false (and warns) once the
 //   executor is shut down, so lost work during teardown is observable.
 // - RunAfter/RunEvery: cancellable timers driven off the injectable Clock.
-//   With a ManualClock the wheel only advances when the test advances the
-//   clock (the executor registers a tick listener), so fast-forward works.
+//   Every timer due by Now() fires in deadline order (equal deadlines in arm
+//   order), at its exact deadline. With a ManualClock timers fire only when
+//   the test advances the clock (the executor registers a tick listener), so
+//   fast-forward works and one long jump still fires in deadline order.
 // - TimerHandle::Cancel(): returns true iff the callback was prevented from
 //   (ever) running. Blocks while a callback is in flight, unless called from
 //   inside the callback itself, so after Cancel() returns the callee may be
-//   destroyed.
+//   destroyed. Cancellation is lazy: the entry stays armed until its deadline
+//   and is then dropped without running.
 // - BlockingRegion: RAII marker a pool task wraps around operations that block
 //   the worker (sleeps, joins, waiting on other tasks). The pool compensates
 //   by spawning a spare worker so throughput is preserved and tasks waiting on
 //   other tasks cannot deadlock the bounded pool. Spares are retained (they
 //   become ordinary workers) rather than retired, bounding total threads at
-//   target + max_spare_threads.
+//   target + kMaxSpareThreads.
 //
 // Executors are looked up per Clock via SharedFor(): components derive their
 // executor from the clock they were already constructed with, so the real
@@ -77,12 +80,10 @@ class Executor {
   struct Options {
     // Worker threads; 0 → max(2, hardware concurrency).
     int threads = 0;
-    // Time source driving the timer wheel. Manual clocks advance the wheel
-    // only via Advance() (the executor registers a tick listener).
+    // Time source driving the timers. Under a manual clock timers fire only
+    // via Advance() (the executor registers a tick listener).
     Clock* clock = nullptr;  // nullptr → RealClock::Get()
     std::string name = "executor";
-    // Cap on compensation workers spawned for BlockingRegions.
-    int max_spare_threads = 256;
   };
 
   Executor() : Executor(Options{}) {}
@@ -101,7 +102,7 @@ class Executor {
   // Periodic timer: first fire after `initial_delay`, then re-armed `period`
   // after each completed run (fixed-rate anchor: if a run overshoots, the next
   // fire is scheduled from now rather than bursting to catch up). Runs never
-  // overlap.
+  // overlap. Periods shorter than kMinPeriod are raised to it.
   TimerHandle RunEvery(Duration initial_delay, Duration period, std::function<void()> fn);
   TimerHandle RunEvery(Duration period, std::function<void()> fn);
 
@@ -119,6 +120,7 @@ class Executor {
   // Total threads ever created by this executor (workers + spares + timer).
   uint64_t threads_created() const;
   uint64_t tasks_run() const;
+  // Armed timers, cancelled ones included until their deadline passes.
   size_t pending_timers() const;
 
   // Process-wide executor on the real clock. Created on first use; its
@@ -134,13 +136,15 @@ class Executor {
   static void BeginBlocking();
   static void EndBlocking();
 
+  // Shortest RunEvery period.
+  static constexpr Duration kMinPeriod = Millis(1);
+
  private:
   using TimerState = TimerHandle::State;
   using TimerPtr = std::shared_ptr<TimerState>;
 
-  static constexpr int kWheelBits = 6;
-  static constexpr int kWheelSlots = 1 << kWheelBits;  // 64
-  static constexpr int kWheelLevels = 4;
+  // Cap on compensation workers spawned for BlockingRegions.
+  static constexpr int kMaxSpareThreads = 256;
 
   void WorkerLoop();
   void TimerLoop();
@@ -148,21 +152,18 @@ class Executor {
   void OnBlocked();
   void OnUnblocked();
 
-  // Timer-wheel internals; all *Locked require timer_mu_.
-  int64_t TickOf(TimePoint tp) const;
-  int64_t FloorTickOf(TimePoint tp) const;
-  void AddTimerLocked(const TimerPtr& state, std::vector<TimerPtr>* due);
-  void CascadeLocked(int level, std::vector<TimerPtr>* due);
-  void AdvanceLocked(int64_t now_tick, std::vector<TimerPtr>* due);
-  // Next wake-up tick strictly after tick_, or -1 for "no timer pending".
-  int64_t NextWakeTickLocked() const;
+  // The one arm path behind RunAfter and both RunEvery overloads.
+  TimerHandle Arm(Duration delay, Duration period, std::function<void()> fn);
+  // Files `state` under its deadline, or fires it at once when it is already
+  // due; after Shutdown it retires the timer instead.
+  void Schedule(const TimerPtr& state);
   void FireTimer(const TimerPtr& state);
-  void ArmLocked(const TimerPtr& state, std::vector<TimerPtr>* due);
+  // Marks a timer that will never run again as finished, so Cancel()/active()
+  // observers resolve.
+  static void Retire(const TimerPtr& state);
 
   Clock* clock_;
   const std::string name_;
-  const Duration tick_duration_;
-  const TimePoint epoch_;
 
   // Worker pool.
   mutable std::mutex mu_;
@@ -171,7 +172,6 @@ class Executor {
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
   int target_ = 0;
-  int max_live_ = 0;
   int live_ = 0;
   int blocked_ = 0;
   int busy_ = 0;
@@ -179,13 +179,10 @@ class Executor {
   uint64_t threads_created_ = 0;
   std::atomic<uint64_t> tasks_run_{0};
 
-  // Timer wheel.
+  // Armed timers by deadline; a multimap keeps equal deadlines in arm order.
   mutable std::mutex timer_mu_;
   std::condition_variable timer_cv_;
-  std::vector<TimerPtr> wheel_[kWheelLevels][kWheelSlots];
-  std::multimap<int64_t, TimerPtr> overflow_;
-  int64_t tick_ = 0;
-  size_t timer_count_ = 0;
+  std::multimap<TimePoint, TimerPtr> timers_;
   bool timer_stop_ = false;
   std::thread timer_thread_;
   size_t tick_listener_ = 0;

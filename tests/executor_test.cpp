@@ -15,7 +15,7 @@ namespace {
 
 // Polls a predicate on the real clock: timer fires are asynchronous (the
 // timer thread submits callbacks to the pool) even when a ManualClock drives
-// the wheel, so observable effects need a real-time wait.
+// the timers, so observable effects need a real-time wait.
 template <typename Pred>
 bool Eventually(Pred pred, int timeout_ms = 5000) {
   for (int i = 0; i < timeout_ms; ++i) {
@@ -79,6 +79,75 @@ TEST(ExecutorTest, TimersFireInDeadlineOrder) {
   std::lock_guard<std::mutex> l(mu);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(exec.pending_timers(), 0u);
+}
+
+// One long manual-clock jump fires every due timer in deadline order, not in
+// arm order, and leaves the later ones armed.
+TEST(ExecutorTest, LongJumpFiresInDeadlineOrder) {
+  ManualClock clock;
+  Executor::Options o;
+  o.threads = 1;  // serialize fires so the order is observable
+  o.clock = &clock;
+  Executor exec(o);
+  std::mutex mu;
+  std::vector<int> order;
+  auto record = [&](int id) {
+    return [&, id] {
+      std::lock_guard<std::mutex> l(mu);
+      order.push_back(id);
+    };
+  };
+  auto fired = [&](size_t n) {
+    return Eventually([&] {
+      std::lock_guard<std::mutex> l(mu);
+      return order.size() == n;
+    });
+  };
+  constexpr int kFiveHoursMs = 5 * 3600 * 1000;  // ids are delays in ms
+  exec.RunAfter(std::chrono::hours(5), record(kFiveHoursMs));
+  exec.RunAfter(Millis(100), record(100));
+  exec.RunAfter(Millis(70), record(70));
+  exec.RunAfter(Millis(5), record(5));
+
+  clock.Advance(Millis(200));
+  ASSERT_TRUE(fired(3));
+  {
+    std::lock_guard<std::mutex> l(mu);
+    EXPECT_EQ(order, (std::vector<int>{5, 70, 100}));
+  }
+  EXPECT_EQ(exec.pending_timers(), 1u);
+
+  clock.Advance(std::chrono::hours(5));
+  ASSERT_TRUE(fired(4));
+  std::lock_guard<std::mutex> l(mu);
+  EXPECT_EQ(order.back(), kFiveHoursMs);
+  EXPECT_EQ(exec.pending_timers(), 0u);
+}
+
+// Deadlines are exact, not rounded up to a millisecond.
+TEST(ExecutorTest, SubMillisecondDeadlineFiresOnTime) {
+  ManualClock clock;
+  Executor::Options o;
+  o.clock = &clock;
+  Executor exec(o);
+  std::atomic<int> fired{0};
+  exec.RunAfter(Micros(1500), [&] { fired++; });
+  clock.Advance(Micros(1500));
+  EXPECT_TRUE(Eventually([&] { return fired.load() == 1; }));
+}
+
+// On the real clock the timer thread sleeps until the earliest deadline; a
+// timer armed into an empty executor, or ahead of every armed one, must wake
+// it.
+TEST(ExecutorTest, RealClockTimerWakesSleepingTimerThread) {
+  Executor exec;
+  std::atomic<int> fired{0};
+  exec.RunAfter(Millis(5), [&] { fired++; });
+  ASSERT_TRUE(Eventually([&] { return fired.load() == 1; }, 1000));
+  TimerHandle late = exec.RunAfter(Seconds(60), [&] { fired += 100; });
+  exec.RunAfter(Millis(5), [&] { fired++; });
+  EXPECT_TRUE(Eventually([&] { return fired.load() == 2; }, 1000));
+  EXPECT_TRUE(late.Cancel());
 }
 
 TEST(ExecutorTest, TimerNeverFiresEarly) {
@@ -205,7 +274,7 @@ TEST(ExecutorTest, ShutdownWithPendingTimers) {
     exec.Shutdown();
   }
   // Advancing the clock after teardown must be inert (the tick listener was
-  // removed) — this would crash or fire if shutdown leaked wheel state.
+  // removed) — this would crash or fire if shutdown leaked armed timers.
   clock.Advance(Seconds(10));
   RealClock::Get()->SleepFor(Millis(20));
   EXPECT_EQ(fired.load(), 0);
@@ -284,7 +353,7 @@ TEST(ExecutorTest, SharedForExecutorDiesWithLastReference) {
 }
 
 // Many components arming and cancelling timers concurrently while the clock
-// fast-forwards: the wheel must neither lose nor double-fire timers.
+// fast-forwards: the executor must neither lose nor double-fire timers.
 TEST(ExecutorTest, ConcurrentArmCancelAdvanceStress) {
   ManualClock clock;
   Executor::Options o;

@@ -13,11 +13,11 @@ namespace vc {
 // Returns once the clock's shared executor has no queued or running task.
 inline void Settle(Clock* clock) { Executor::SharedFor(clock)->Wait(); }
 
-// Advances `clock` by `d` (less than one timer-wheel turn, 64 ms) and returns
-// once every timer due by then has fired and the tasks it started have
-// finished. A sentinel timer due at the new time fires after every earlier
-// one: the wheel expires ticks in order and the pool starts tasks in FIFO
-// order, so when the sentinel runs the earlier timers' tasks have started.
+// Advances `clock` by `d` and returns once every timer due by then has fired
+// and the tasks it started have finished. A sentinel timer due at the new
+// time fires after every earlier one: the executor fires timers in deadline
+// order and the pool starts tasks in FIFO order, so when the sentinel runs
+// the earlier timers' tasks have started.
 template <typename ManualTime>
 void AdvanceAndSettle(ManualTime* clock, Duration d) {
   std::shared_ptr<Executor> exec = Executor::SharedFor(clock);
