@@ -21,7 +21,10 @@ OUT="${OUT:-BENCH_storage.json}"
 # BM_DispatchAdmit runs as a /0 (untraced) vs /1 (traced) axis on checkouts
 # that have vc::trace; BM_TraceRecord is the raw per-event Emit cost.
 # BM_TimerArmCancel/N arms and cancels one executor timer among N armed ones.
-FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord|BM_TimerArmCancel'
+# The Pod-path layers: codec (BM_PodEncode, BM_PodDecode), the apiserver
+# Create verb (BM_ApiServerCreate) and the scheduler's filter pass over N
+# nodes (BM_SchedulerFilter/N).
+FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord|BM_TimerArmCancel|BM_PodEncode|BM_PodDecode|BM_ApiServerCreate|BM_SchedulerFilter'
 NPROC="$(nproc)"
 REPS=3
 

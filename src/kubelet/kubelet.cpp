@@ -22,6 +22,18 @@ bool IsTerminal(const api::Pod& pod) {
          pod.status.phase == api::PodPhase::kFailed;
 }
 
+// Whether `new_pod` differs from `old_pod` only in status and resourceVersion,
+// and not in being terminal: such an update (the kubelet's own Ready write
+// among them) cannot change what ReconcilePod does.
+bool StatusOnlyChange(const api::Pod& old_pod, const api::Pod& new_pod) {
+  if (IsTerminal(old_pod) != IsTerminal(new_pod) || !(old_pod.spec == new_pod.spec)) {
+    return false;
+  }
+  api::ObjectMeta meta = old_pod.meta;
+  meta.resource_version = new_pod.meta.resource_version;
+  return meta == new_pod.meta;
+}
+
 }  // namespace
 
 Kubelet::Kubelet(Options opts)
@@ -52,7 +64,8 @@ void Kubelet::AttachPodSource(client::SharedInformer<api::Pod>* source) {
     if (pod.spec.node_name == node) loop_.Enqueue(pod.meta.FullName());
   };
   h.on_update = [this, node](const api::Pod& old_pod, const api::Pod& new_pod) {
-    if (new_pod.spec.node_name == node || old_pod.spec.node_name == node) {
+    if ((new_pod.spec.node_name == node || old_pod.spec.node_name == node) &&
+        !StatusOnlyChange(old_pod, new_pod)) {
       loop_.Enqueue(new_pod.meta.FullName());
     }
   };

@@ -75,6 +75,7 @@ class Kubelet {
 
   uint64_t pods_started() const { return pods_started_.load(); }
   size_t pods_running() const;
+  uint64_t reconciles() const { return loop_.reconciles(); }
   const Histogram& start_latency() const { return start_latency_; }
 
  private:

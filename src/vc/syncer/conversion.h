@@ -197,6 +197,19 @@ bool ShadowMatches(const T& shadow, const T& desired) {
          DownwardNormalized(shadow) == DownwardNormalized(desired);
 }
 
+// Whether a tenant update from `old_obj` to `new_obj` can change what the
+// downward reconcile does: the downward-owned fields, the deletion state or
+// the uid moved. A status write — the syncer's own upward copy among them —
+// moves none of them. The uid is compared on its own because a relist
+// reports an object recreated under the same name as an update, and
+// DownwardNormalized clears the uid.
+template <typename T>
+bool DownwardChanged(const T& old_obj, const T& new_obj) {
+  return old_obj.meta.uid != new_obj.meta.uid ||
+         old_obj.meta.deleting() != new_obj.meta.deleting() ||
+         !(DownwardNormalized(old_obj) == DownwardNormalized(new_obj));
+}
+
 // Reads origin annotations from a super-cluster shadow object. Returns false
 // if the object is not tenant-owned.
 struct Origin {

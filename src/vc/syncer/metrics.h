@@ -32,6 +32,9 @@ struct SyncerMetrics {
   std::atomic<uint64_t> upward_updates{0};
   std::atomic<uint64_t> upward_noops{0};
   std::atomic<uint64_t> conflicts_retried{0};
+  // Upward writes that lost their CAS: the tenant informer was behind, and
+  // its newer version re-triggers the upward reconcile.
+  std::atomic<uint64_t> upward_conflicts{0};
   std::atomic<uint64_t> races_tolerated{0};  // object vanished mid-reconcile
   std::atomic<uint64_t> scan_rounds{0};
   std::atomic<uint64_t> scan_resent{0};

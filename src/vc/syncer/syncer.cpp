@@ -134,6 +134,8 @@ Syncer::Syncer(Options opts)
                    static_cast<double>(metrics_.upward_noops.load()));
     s.emplace_back("conflicts_retried",
                    static_cast<double>(metrics_.conflicts_retried.load()));
+    s.emplace_back("upward_conflicts",
+                   static_cast<double>(metrics_.upward_conflicts.load()));
     s.emplace_back("races_tolerated",
                    static_cast<double>(metrics_.races_tolerated.load()));
     s.emplace_back("scan_rounds", static_cast<double>(metrics_.scan_rounds.load()));
@@ -162,23 +164,6 @@ void Syncer::AttachTenant(const VirtualClusterObj& vc, TenantControlPlane* tcp) 
     kinds_frozen_ = true;
   }
   for (const auto& kind : kinds_) ts->informers.push_back(kind->WatchTenant(*ts));
-  // Upward sync judges "no change" on this informer's copy of the tenant
-  // Pod, so a newer tenant version whose status or nodeName moved must re-run
-  // it (DESIGN.md §8.1) — e.g. a foreign status write that diverges from the
-  // shadow is reverted without waiting for a periodic scan.
-  {
-    client::EventHandlers<api::Pod> up;
-    up.on_update = [this, map = ts->map](const api::Pod& old_pod, const api::Pod& new_pod) {
-      if (old_pod.status == new_pod.status &&
-          old_pod.spec.node_name == new_pod.spec.node_name) {
-        return;
-      }
-      upward_->Enqueue(map.tenant_id,
-                       "Pod|" + map.SuperNamespace(new_pod.meta.ns) + "/" + new_pod.meta.name);
-    };
-    pods_->Tenant(*ts).AddHandlers(std::move(up));
-  }
-
   downward_->RegisterTenant(ts->map.tenant_id, ts->weight);
   bool start_now;
   {
@@ -501,24 +486,17 @@ Syncer::UpOutcome Syncer::SyncUpPod(const std::string& super_key) {
   bool became_ready = false;
   UpOutcome out = WriteUp(*ts, pods_->Tenant(*ts), *origin, super_pod->meta.name,
                           [&](api::Pod& tp) {
-                            became_ready = false;
-                            bool changed = false;
-                            if (!super_pod->spec.node_name.empty() &&
-                                tp.spec.node_name != super_pod->spec.node_name) {
+                            if (!LagsShadow(tp, *super_pod)) return false;
+                            if (!super_pod->spec.node_name.empty()) {
                               tp.spec.node_name = super_pod->spec.node_name;
-                              changed = true;
                             }
-                            if (!(tp.status == super_pod->status)) {
-                              const bool was_ready = tp.status.Ready();
-                              tp.status = super_pod->status;
-                              if (!was_ready && tp.status.Ready()) {
-                                tp.meta.annotations[kReadyAtAnnotation] =
-                                    std::to_string(opts_.clock->WallUnixMillis());
-                                became_ready = true;
-                              }
-                              changed = true;
+                            became_ready = !tp.status.Ready() && super_pod->status.Ready();
+                            tp.status = super_pod->status;
+                            if (became_ready) {
+                              tp.meta.annotations[kReadyAtAnnotation] =
+                                  std::to_string(opts_.clock->WallUnixMillis());
                             }
-                            return changed;
+                            return true;
                           });
   out.became_ready = out.wrote && became_ready;
   return out;

@@ -60,6 +60,24 @@ concept CopiesStatus = requires(const T& from, T& to) {
   { T::CopyStatus(from, to) } -> std::convertible_to<bool>;
 };
 
+// A kind the upward loop writes back to the tenant: Pods (nodeName and
+// status, see SyncUpPod) and every kind that declares CopyStatus.
+template <typename T>
+concept SyncsUp = CopiesStatus<T> || std::same_as<T, api::Pod>;
+
+// Whether the tenant object lags the super-owned fields of its shadow, that
+// is, whether the upward reconcile would write it.
+template <SyncsUp T>
+bool LagsShadow(const T& tenant, const T& shadow) {
+  if constexpr (std::is_same_v<T, api::Pod>) {
+    return !(tenant.status == shadow.status) ||
+           (!shadow.spec.node_name.empty() && tenant.spec.node_name != shadow.spec.node_name);
+  } else {
+    T probe = tenant;
+    return T::CopyStatus(shadow, probe);
+  }
+}
+
 class Syncer {
  public:
   struct Options {
@@ -249,8 +267,8 @@ class Syncer {
 
   UpOutcome SyncUpPod(const std::string& super_key);
   // Applies `change` to the tenant object mirrored by a shadow from `origin`,
-  // by CAS on the tenant informer's copy (DESIGN.md §8.1); refuses an object
-  // whose uid is not the shadow's origin uid (it was recreated).
+  // by one CAS on the tenant informer's copy (DESIGN.md §8.1); refuses an
+  // object whose uid is not the shadow's origin uid (it was recreated).
   template <typename T, typename Fn>
   UpOutcome WriteUp(TenantState& ts, client::SharedInformer<T>& tenant_informer,
                     const Origin& origin, const std::string& name, Fn change);
@@ -397,23 +415,32 @@ std::unique_ptr<Syncer::AnyInformer> Syncer::KindOf<T>::WatchTenant(const Tenant
   auto down = [this, tenant = ts.map.tenant_id](const T& obj) {
     s_.downward_->Enqueue(tenant, prefix_ + obj.meta.FullName());
   };
+  // The upward write is one CAS on this informer's copy that gives up on a
+  // Conflict (WriteUp), so every tenant version that lags its shadow must
+  // re-run it: a foreign status write is reverted, and the version a
+  // Conflict proved newer gets written. Without a shadow there is nothing to
+  // copy yet; the super informer's add enqueues it.
+  auto up = [this, map = ts.map](const T& obj) {
+    if constexpr (SyncsUp<T>) {
+      const std::string key = ShadowOf(map, obj.meta.FullName()).key;
+      auto shadow = super_.inf.cache().GetByKey(key);
+      if (shadow && LagsShadow(obj, *shadow)) s_.upward_->Enqueue(map.tenant_id, prefix_ + key);
+    }
+  };
   client::EventHandlers<T> h;
-  h.on_add = down;
-  h.on_update = [down](const T&, const T& obj) { down(obj); };
+  h.on_add = [down, up](const T& obj) {
+    down(obj);
+    up(obj);
+  };
+  // Downward only on an update that can change the outcome: the syncer's
+  // own upward writes and other status writes are echoes. The periodic scan
+  // stays the safety net (§III-C).
+  h.on_update = [down, up](const T& old_obj, const T& obj) {
+    if (DownwardChanged(old_obj, obj)) down(obj);
+    up(obj);
+  };
   h.on_delete = down;
   w->inf.AddHandlers(std::move(h));
-  if constexpr (CopiesStatus<T>) {
-    // Upward sync judges "no change" on this informer's copy, so a newer
-    // tenant version whose super-owned fields moved must re-run it.
-    client::EventHandlers<T> up;
-    up.on_update = [this, map = ts.map](const T& old_obj, const T& new_obj) {
-      T probe = new_obj;
-      if (!T::CopyStatus(old_obj, probe)) return;
-      s_.upward_->Enqueue(map.tenant_id, prefix_ + map.SuperNamespace(new_obj.meta.ns) +
-                                             "/" + new_obj.meta.name);
-    };
-    w->inf.AddHandlers(std::move(up));
-  }
   return w;
 }
 
@@ -588,40 +615,34 @@ template <typename T, typename Fn>
 Syncer::UpOutcome Syncer::WriteUp(TenantState& ts, client::SharedInformer<T>& tenant_informer,
                                   const Origin& origin, const std::string& name, Fn change) {
   UpOutcome out;
-  bool wrote = false;
-  auto fn = [&](T& obj) {
-    wrote = false;
-    if (!origin.tenant_uid.empty() && obj.meta.uid != origin.tenant_uid) {
-      return false;  // tenant object was recreated; stale shadow
-    }
-    wrote = change(obj);
-    return wrote;
-  };
-  // Write by CAS on the tenant informer's copy: no Get, which would block on
-  // the tenant apiserver's watch cache (and build one nothing else reads).
-  // The tenant informer's upward handler re-triggers this reconcile for every
-  // newer tenant version whose synced fields differ, so a "no change"
-  // verdict on a stale copy is never final.
-  const apiserver::RequestContext ctx = apiserver::RequestContext::System("syncer-upward");
-  apiserver::APIServer& server = ts.tcp->server();
+  // One CAS on the tenant informer's copy and no Get, which would block on
+  // the tenant apiserver's watch cache (and build one nothing else reads). A
+  // missing copy, a "no change" verdict and a Conflict are all final here:
+  // the tenant informer re-triggers this reconcile for every tenant version
+  // that lags the shadow (WatchTenant), and a Conflict proves that a newer
+  // version is on its way to it (DESIGN.md §8.1).
   auto cached = tenant_informer.cache().GetByKey(origin.tenant_ns + "/" + name);
-  Status st = cached ? apiserver::UpdateFrom(server, *cached, fn, ctx)
-                     : apiserver::RetryUpdate<T>(server, origin.tenant_ns, name, fn, ctx);
-  if (!st.ok()) {
-    if (st.IsNotFound()) {
-      // Tenant deleted the object while its status update was in flight —
-      // the §III-C race; the downward path will delete the shadow.
-      metrics_.races_tolerated.fetch_add(1);
-    } else {
-      out.done = false;
-    }
+  if (!cached) return out;
+  T obj = *cached;
+  // A uid other than the shadow's origin: the tenant object was recreated,
+  // and the stale shadow must not write to it.
+  if ((!origin.tenant_uid.empty() && obj.meta.uid != origin.tenant_uid) || !change(obj)) {
+    metrics_.upward_noops.fetch_add(1);
     return out;
   }
-  if (wrote) {
+  const apiserver::RequestContext ctx = apiserver::RequestContext::System("syncer-upward");
+  Result<T> res = ts.tcp->server().Update(std::move(obj), ctx);
+  if (res.ok()) {
     out.wrote = true;
     out.cost = opts_.upward_op_cost;
+  } else if (res.status().IsConflict()) {
+    metrics_.upward_conflicts.fetch_add(1);
+  } else if (res.status().IsNotFound()) {
+    // Tenant deleted the object while its status update was in flight —
+    // the §III-C race; the downward path will delete the shadow.
+    metrics_.races_tolerated.fetch_add(1);
   } else {
-    metrics_.upward_noops.fetch_add(1);
+    out.done = false;
   }
   return out;
 }

@@ -330,10 +330,13 @@ TEST(DispatcherFloodTest, SystemP99SurvivesBestEffortFlood) {
 
   std::vector<double> baseline = measure(150);
 
-  // Saturate from 8 best-effort flooder threads (2 tenants) while re-probing.
+  // Saturate from best-effort flooder threads (2 tenants) while re-probing.
+  // One per CPU: more would spin the probe off the CPUs and measure CPU
+  // contention (tenfold under TSan) rather than the dispatcher's fairness.
+  const int flooders = std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
   std::atomic<bool> stop{false};
   std::vector<std::thread> flood;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < flooders; ++i) {
     flood.emplace_back([&, i] {
       const RequestContext ctx = BestEffort(i % 2 ? "flood-a" : "flood-b");
       while (!stop.load(std::memory_order_relaxed)) {

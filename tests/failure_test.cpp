@@ -169,6 +169,9 @@ TEST(FailureTest, WatchOverflowRecovery) {
   for (int i = 0; i < 100; ++i) {
     store.Put("/registry/Pod/default/p" + std::to_string(i), "v");
   }
+  // Every event is offered to the watcher before it reads one, so the reads
+  // below cannot keep pace with the dispatch strand and dodge the overflow.
+  store.FlushWatchDispatch();
   // The slow watcher is poisoned...
   Status st;
   for (int i = 0; i < 20; ++i) {

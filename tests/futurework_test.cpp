@@ -3,6 +3,7 @@
 // tenant-control-plane hibernation.
 #include <gtest/gtest.h>
 
+#include "own_pool_tenant.h"
 #include "vc/crds.h"
 #include "vc/deployment.h"
 #include "vc/multi_super.h"
@@ -195,6 +196,71 @@ TEST(CrdSyncTest, RecreatedGpuJobGetsFreshShadow) {
   })) << "the recreated job never ran";
   plugin.Stop();
   deploy.Stop();
+}
+
+// A foreign status write on a tenant GpuJob is reverted with the scan off,
+// even while the syncer's tenant informer lags it: the upward write on the
+// stale copy conflicts and ends without a Get, and the foreign version's
+// arrival re-triggers it.
+TEST(CrdSyncTest, ForeignStatusWriteRevertedAcrossUpwardConflict) {
+  VcDeployment::Options o = FastOptions();
+  o.heartbeat_broadcast_period = Seconds(600);  // vNode heartbeats Get tenant Nodes
+  VcDeployment deploy(o);
+  ASSERT_TRUE(deploy.syncer().SyncKind<GpuJob>().ok());
+  ASSERT_TRUE(deploy.Start().ok());
+  apiserver::APIServer& super = deploy.super().server();
+  GpuJobPlugin::Options po;
+  po.server = &super;
+  po.total_gpus = 64;
+  GpuJobPlugin plugin(po);
+  plugin.Start();
+  ASSERT_TRUE(plugin.WaitForSync(Seconds(5)));
+  OwnPoolTenant tenant(deploy, "ml-team");
+  apiserver::APIServer& server = tenant.server();
+  TenantMapping map = deploy.syncer().MappingOf("ml-team");
+
+  GpuJob job;
+  job.meta.ns = "default";
+  job.meta.name = "train-1";
+  job.replicas = 2;
+  job.gpus_per_replica = 8;
+  ASSERT_TRUE(server.Create(job).ok());
+  ASSERT_TRUE(Eventually([&] {
+    std::optional<GpuJob> mine = tenant.Find<GpuJob>("default", "train-1");
+    return mine && mine->phase == "Running";
+  }));
+  RealClock::Get()->SleepFor(Millis(100));  // the syncer settles on the running job
+  std::optional<GpuJob> current = tenant.Find<GpuJob>("default", "train-1");
+  ASSERT_TRUE(current.has_value());
+
+  SyncerMetrics& m = deploy.syncer().metrics();
+  const uint64_t gets = server.stats().gets.load();
+  const uint64_t conflicts = m.upward_conflicts.load();
+  {
+    ExecutorGate gate(tenant.pool());
+    // A foreign status write the syncer's tenant informer cannot see yet.
+    current->phase = "Hacked";
+    ASSERT_TRUE(server.UpdateStatus(*current).ok());
+    // A super-side status change sends an upward write onto the stale copy.
+    ASSERT_TRUE(apiserver::RetryUpdateStatus<GpuJob>(super, map.SuperNamespace("default"),
+                                                     "train-1",
+                                                     [](GpuJob& j) {
+                                                       j.scheduler_message = "poked";
+                                                       return true;
+                                                     })
+                    .ok());
+    ASSERT_TRUE(Eventually([&] { return m.upward_conflicts.load() > conflicts; }));
+    EXPECT_EQ(server.stats().gets.load(), gets);
+  }
+  EXPECT_TRUE(Eventually([&] {
+    Result<GpuJob> shadow = super.Get<GpuJob>(map.SuperNamespace("default"), "train-1");
+    std::optional<GpuJob> mine = tenant.Find<GpuJob>("default", "train-1");
+    if (!shadow.ok() || !mine) return false;
+    GpuJob probe = *mine;
+    return mine->phase == "Running" && !GpuJob::CopyStatus(*shadow, probe);
+  })) << "the foreign status was never reverted to the shadow's";
+  EXPECT_EQ(server.stats().gets.load(), gets);
+  plugin.Stop();
 }
 
 // Every tenant informer set and the scan walk the kind table, so it is

@@ -173,6 +173,46 @@ TEST(KubeletTest, DestroyWithRetryArmedRunsNothingAfter) {
   EXPECT_EQ(server.stats().gets.load(), gets + 2);
 }
 
+// An update that moves only status and resourceVersion, like the kubelet's
+// own Ready write, is not reconciled; a label change, a deletion timestamp
+// and a terminal phase are.
+TEST(KubeletTest, ReconcilesOnlyUpdatesThatCanChangeTheOutcome) {
+  Harness h;
+  Kubelet* kubelet = h.fleet->kubelets()[0].get();
+  auto wait_for = [](auto pred) {
+    for (int i = 0; i < 5000 && !pred(); ++i) RealClock::Get()->SleepFor(Millis(2));
+    return pred();
+  };
+  ASSERT_TRUE(h.server->Create(BoundPod("web-0", "node-0")).ok());
+  Pod held = BoundPod("web-1", "node-0");
+  held.meta.finalizers = {"test.example.com/hold"};  // Delete only marks it
+  ASSERT_TRUE(h.server->Create(held).ok());
+  Result<Pod> pod = h.WaitReady("web-0");
+  ASSERT_TRUE(pod.ok());
+  ASSERT_TRUE(h.WaitReady("web-1").ok());
+  RealClock::Get()->SleepFor(Millis(50));  // the Ready echoes reach the informer
+  const uint64_t reconciles = kubelet->reconciles();
+
+  pod->status.message = "foreign";
+  Result<Pod> status_only = h.server->UpdateStatus(*pod);
+  ASSERT_TRUE(status_only.ok());
+  RealClock::Get()->SleepFor(Millis(50));
+  EXPECT_EQ(kubelet->reconciles(), reconciles);
+
+  status_only->meta.labels["tier"] = "gold";
+  Result<Pod> relabeled = h.server->Update(*status_only);
+  ASSERT_TRUE(relabeled.ok());
+  EXPECT_TRUE(wait_for([&] { return kubelet->reconciles() == reconciles + 1; }));
+  EXPECT_EQ(kubelet->pods_running(), 2u);
+
+  ASSERT_TRUE(h.server->Delete<Pod>("default", "web-1").ok());
+  EXPECT_TRUE(wait_for([&] { return kubelet->pods_running() == 1; }));
+
+  relabeled->status.phase = api::PodPhase::kFailed;
+  ASSERT_TRUE(h.server->UpdateStatus(*relabeled).ok());
+  EXPECT_TRUE(wait_for([&] { return kubelet->pods_running() == 0; }));
+}
+
 TEST(KubeletTest, UnboundPvcBlocksPodUntilBound) {
   Harness h;
   api::PersistentVolumeClaim pvc;

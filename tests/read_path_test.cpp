@@ -4,15 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <map>
-#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "client/informer.h"
 #include "client/typed_client.h"
+#include "pool_gate.h"
 
 namespace vc::client {
 namespace {
@@ -447,43 +446,11 @@ TEST(ReadPathTest, TypedClientScopesVerbs) {
 
 // ---------------------------------------------------- write-through decode
 
-// Parks every worker of `exec` until destroyed: while the gate lives no watch
-// consumer (store fan-out, watch cache, informer) runs, so every reader of a
-// write reaches the DecodeCache after the writer's verb has returned. That
-// pins the order the seed is meant to win in the common case; a reader that
-// wins the race just decodes, which costs time, not correctness.
-class ExecutorGate {
- public:
-  explicit ExecutorGate(Executor* exec) : workers_(exec->threads()) {
-    for (int i = 0; i < workers_; ++i) {
-      exec->Submit([this] {
-        std::unique_lock<std::mutex> l(mu_);
-        ++parked_;
-        cv_.notify_all();
-        cv_.wait(l, [this] { return open_; });
-        --parked_;
-        cv_.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> l(mu_);
-    cv_.wait(l, [this] { return parked_ == workers_; });
-  }
-  // Releases the workers and waits until each has left its task, so the
-  // gate outlives every use of it.
-  ~ExecutorGate() {
-    std::unique_lock<std::mutex> l(mu_);
-    open_ = true;
-    cv_.notify_all();
-    cv_.wait(l, [this] { return parked_ == 0; });
-  }
-
- private:
-  const int workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int parked_ = 0;
-  bool open_ = false;
-};
+// While an ExecutorGate parks the default pool, no watch consumer (store
+// fan-out, watch cache, informer) runs, so every reader of a write reaches
+// the DecodeCache after the writer's verb has returned. That pins the order
+// the seed is meant to win in the common case; a reader that wins the race
+// just decodes, which costs time, not correctness.
 
 TEST(ReadPathTest, WritesThroughThisServerAreDeliveredWithoutDecoding) {
   APIServer server({});

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/executor.h"
+#include "own_pool_tenant.h"
 #include "vc/deployment.h"
 
 namespace vc::core {
@@ -135,6 +136,49 @@ TEST(ConversionTest, OriginRoundTrip) {
   EXPECT_FALSE(OriginOf(foreign).has_value());
 }
 
+// The downward handler's predicate: the syncer's own upward write (nodeName,
+// status, the ready-at stamp) is an echo; a label change, a deletion and a
+// uid swapped under the same name are not.
+TEST(ConversionTest, DownwardChangedSkipsUpwardEchoes) {
+  api::Pod before = TenantPod();
+  before.spec.node_name.clear();
+  before.status = api::PodStatus{};
+  api::Pod upward = before;
+  upward.meta.resource_version = 43;
+  upward.spec.node_name = "node-1";
+  upward.status.phase = api::PodPhase::kRunning;
+  upward.status.SetCondition(api::kPodReady, true, 1);
+  upward.meta.annotations[kReadyAtAnnotation] = "12345";
+  EXPECT_FALSE(DownwardChanged(before, upward));
+
+  api::Pod relabeled = upward;
+  relabeled.meta.labels["tier"] = "gold";
+  EXPECT_TRUE(DownwardChanged(upward, relabeled));
+  api::Pod deleting = upward;
+  deleting.meta.deletion_timestamp_ms = 1;
+  EXPECT_TRUE(DownwardChanged(upward, deleting));
+  // A relist reports a recreated object as an update; only its uid tells.
+  api::Pod recreated = before;
+  recreated.meta.uid = "recreated-uid";
+  EXPECT_EQ(DownwardNormalized(before), DownwardNormalized(recreated));
+  EXPECT_TRUE(DownwardChanged(before, recreated));
+}
+
+// The upward re-trigger's predicate: a tenant Pod lags its shadow when the
+// status differs, or when the shadow is bound elsewhere.
+TEST(ConversionTest, LagsShadowComparesSuperOwnedFields) {
+  api::Pod tenant = TenantPod();
+  api::Pod shadow = ToSuper(TenantMapping::ForVc("acme", "uid-1"), tenant);
+  shadow.status = tenant.status;
+  EXPECT_FALSE(LagsShadow(tenant, shadow));  // an unbound shadow names no node
+  shadow.spec.node_name = "node-1";
+  EXPECT_TRUE(LagsShadow(tenant, shadow));
+  tenant.spec.node_name = "node-1";
+  EXPECT_FALSE(LagsShadow(tenant, shadow));
+  shadow.status.message = "evicted";
+  EXPECT_TRUE(LagsShadow(tenant, shadow));
+}
+
 // ------------------------------------------------------------ vNode manager
 
 TEST(VNodeManagerTest, BindUnbindLifecycle) {
@@ -188,6 +232,15 @@ api::Pod BasicPod(const std::string& ns, const std::string& name) {
   c.image = "nginx";
   p.spec.containers.push_back(c);
   return p;
+}
+
+template <typename Pred>
+bool Eventually(Pred pred, int timeout_ms = 10000) {
+  for (int i = 0; i < timeout_ms / 2; ++i) {
+    if (pred()) return true;
+    RealClock::Get()->SleepFor(Millis(2));
+  }
+  return false;
 }
 
 TEST(SyncerIntegrationTest, NoFeedbackLoopAfterConvergence) {
@@ -483,6 +536,141 @@ TEST(SyncerIntegrationTest, RecreatedTenantPodGetsFreshShadow) {
   ASSERT_TRUE(shadow.ok());
   EXPECT_EQ(shadow->meta.annotations[kOriginUidAnnotation], recreated->meta.uid);
   deploy.Stop();
+}
+
+// The syncer's own upward writes (bind, then Ready) reach its tenant
+// informer as updates that change no downward-owned field, so they add no
+// downward reconcile.
+TEST(SyncerIntegrationTest, UpwardWritesAddNoDownwardReconcile) {
+  VcDeployment deploy(FastOptions());
+  ASSERT_TRUE(deploy.Start().ok());
+  OwnPoolTenant tenant(deploy, "acme");
+  ASSERT_TRUE(deploy.WaitForSync(Seconds(10)));
+  auto ready = [&](const std::string& name) {
+    std::optional<api::Pod> p = tenant.Find<api::Pod>("default", name);
+    return p && p->status.Ready();
+  };
+  // A first Pod settles the namespace shadow.
+  ASSERT_TRUE(tenant.server().Create(BasicPod("default", "warm")).ok());
+  ASSERT_TRUE(Eventually([&] { return ready("warm"); }));
+  RealClock::Get()->SleepFor(Millis(100));
+
+  SyncerMetrics& m = deploy.syncer().metrics();
+  const uint64_t noops = m.downward_noops.load();
+  const uint64_t creates = m.downward_creates.load();
+  const uint64_t ups = m.upward_updates.load();
+  constexpr int kPods = 3;
+  for (int i = 0; i < kPods; ++i) {
+    ASSERT_TRUE(tenant.server().Create(BasicPod("default", "p" + std::to_string(i))).ok());
+  }
+  for (int i = 0; i < kPods; ++i) {
+    ASSERT_TRUE(Eventually([&] { return ready("p" + std::to_string(i)); }));
+  }
+  ASSERT_TRUE(Eventually([&] { return m.upward_updates.load() - ups >= kPods; }));
+  RealClock::Get()->SleepFor(Millis(100));  // the Ready echoes reach the informer
+  EXPECT_EQ(m.downward_creates.load() - creates, static_cast<uint64_t>(kPods));
+  EXPECT_EQ(m.downward_noops.load(), noops);
+}
+
+// A relist reports a Pod deleted and recreated under the same name as an
+// update with the same downward form. Its new uid alone must send it
+// downward; otherwise the shadow mirrors the deleted Pod, which the upward
+// path refuses, and with the scan off the new Pod never runs.
+TEST(SyncerIntegrationTest, RelistSwappingUidResyncsShadow) {
+  VcDeployment deploy(FastOptions());
+  ASSERT_TRUE(deploy.Start().ok());
+  OwnPoolTenant tenant(deploy, "acme");
+  apiserver::APIServer& server = tenant.server();
+  ASSERT_TRUE(server.Create(BasicPod("default", "web-0")).ok());
+  auto ready = [&] {
+    std::optional<api::Pod> p = tenant.Find<api::Pod>("default", "web-0");
+    return p && p->status.Ready();
+  };
+  ASSERT_TRUE(Eventually(ready));
+
+  std::string recreated_uid;
+  {
+    // The tenant informers see neither the delete nor the create: the
+    // fan-out is parked until the watches are broken, and the compaction
+    // turns their resume into a relist.
+    ExecutorGate gate(tenant.pool());
+    ASSERT_TRUE(server.Delete<api::Pod>("default", "web-0").ok());
+    Result<api::Pod> recreated = server.Create(BasicPod("default", "web-0"));
+    ASSERT_TRUE(recreated.ok());
+    recreated_uid = recreated->meta.uid;
+    server.store().Compact(server.store().CurrentRevision());
+    server.store().BreakWatches();
+  }
+  TenantMapping map = deploy.syncer().MappingOf("acme");
+  EXPECT_TRUE(Eventually([&] {
+    Result<api::Pod> shadow =
+        deploy.super().server().Get<api::Pod>(map.SuperNamespace("default"), "web-0");
+    return shadow.ok() &&
+           shadow->meta.annotations[kOriginUidAnnotation] == recreated_uid;
+  })) << "the shadow still mirrors the deleted Pod";
+  EXPECT_TRUE(Eventually(ready)) << "the recreated Pod never became ready";
+}
+
+// The upward write is one CAS on the tenant informer's copy. When that copy
+// is stale the CAS conflicts, and the reconcile ends without a Get (which
+// would block on the tenant apiserver's watch cache): the informer's newer
+// version lags the shadow, so its arrival re-triggers the write.
+TEST(SyncerIntegrationTest, UpwardConflictSettlesWithoutTenantGet) {
+  VcDeployment::Options o = FastOptions();
+  o.heartbeat_broadcast_period = Seconds(600);  // vNode heartbeats Get tenant Nodes
+  VcDeployment deploy(o);
+  ASSERT_TRUE(deploy.Start().ok());
+  OwnPoolTenant tenant(deploy, "acme");
+  apiserver::APIServer& server = tenant.server();
+  apiserver::APIServer& super = deploy.super().server();
+  TenantMapping map = deploy.syncer().MappingOf("acme");
+
+  // Unschedulable until a super node carries the label.
+  api::Pod pod = BasicPod("default", "web-0");
+  pod.spec.node_selector["gate"] = "open";
+  ASSERT_TRUE(server.Create(pod).ok());
+  ASSERT_TRUE(Eventually([&] {
+    return super.Get<api::Pod>(map.SuperNamespace("default"), "web-0").ok();
+  }));
+  RealClock::Get()->SleepFor(Millis(100));  // the syncer settles on the Pending Pod
+  std::optional<api::Pod> current = tenant.Find<api::Pod>("default", "web-0");
+  ASSERT_TRUE(current.has_value());
+  Result<apiserver::TypedList<api::Node>> nodes = super.List<api::Node>();
+  ASSERT_TRUE(nodes.ok());
+  ASSERT_FALSE(nodes->items.empty());
+
+  SyncerMetrics& m = deploy.syncer().metrics();
+  const uint64_t gets = server.stats().gets.load();
+  const uint64_t conflicts = m.upward_conflicts.load();
+  {
+    ExecutorGate gate(tenant.pool());
+    // A foreign status write the syncer's tenant informer cannot see yet. It
+    // moves no downward-owned field, so no downward echo rescues the Pod.
+    current->status.message = "foreign";
+    ASSERT_TRUE(server.UpdateStatus(*current).ok());
+    ASSERT_TRUE(apiserver::RetryUpdate<api::Node>(super, "", nodes->items[0].meta.name,
+                                                  [](api::Node& n) {
+                                                    n.meta.labels["gate"] = "open";
+                                                    return true;
+                                                  })
+                    .ok());
+    // The shadow is bound and started; the upward write of the bind (and of
+    // Ready, if it comes apart) CASes on the stale copy and conflicts.
+    ASSERT_TRUE(Eventually([&] {
+      Result<api::Pod> shadow = super.Get<api::Pod>(map.SuperNamespace("default"), "web-0");
+      return shadow.ok() && shadow->status.Ready() && m.upward_conflicts.load() > conflicts;
+    }));
+    EXPECT_EQ(server.stats().gets.load(), gets);
+  }
+  // With the scan off, only the re-trigger of the foreign version can carry
+  // the shadow's status up.
+  EXPECT_TRUE(Eventually([&] {
+    Result<api::Pod> shadow = super.Get<api::Pod>(map.SuperNamespace("default"), "web-0");
+    std::optional<api::Pod> p = tenant.Find<api::Pod>("default", "web-0");
+    return shadow.ok() && p && p->status.Ready() && p->status == shadow->status &&
+           p->spec.node_name == shadow->spec.node_name;
+  })) << "the tenant Pod never caught up with its shadow";
+  EXPECT_EQ(server.stats().gets.load(), gets);
 }
 
 // Concurrency stress for the shared-executor refactor (run under tsan by
