@@ -3,7 +3,9 @@
 # possible, its parent commit (baseline) in a temporary copy, runs the storage +
 # queue microbenches (3 repetitions; each axis records its median and cv) plus
 # the quick fig9/fig11/scale_tenants harnesses on both, and writes
-# BENCH_storage.json with both sets of numbers side by side.
+# BENCH_storage.json with both sets of numbers side by side. Every axis whose
+# head median is slower than the baseline's by more than max(10%, 2·cv) is
+# listed under "regressions".
 #
 #   scripts/bench_compare.sh                 # baseline = HEAD~1
 #   BASELINE_REF=main~2 scripts/bench_compare.sh
@@ -23,8 +25,9 @@ OUT="${OUT:-BENCH_storage.json}"
 # BM_TimerArmCancel/N arms and cancels one executor timer among N armed ones.
 # The Pod-path layers: codec (BM_PodEncode, BM_PodDecode), the apiserver
 # Create verb (BM_ApiServerCreate) and the scheduler's filter pass over N
-# nodes (BM_SchedulerFilter/N).
-FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord|BM_TimerArmCancel|BM_PodEncode|BM_PodDecode|BM_ApiServerCreate|BM_SchedulerFilter'
+# nodes (BM_SchedulerFilter/N). BM_InformerDelivery/N times N Pod Creates
+# until each reached a SharedInformer handler.
+FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord|BM_TimerArmCancel|BM_PodEncode|BM_PodDecode|BM_ApiServerCreate|BM_SchedulerFilter|BM_InformerDelivery'
 NPROC="$(nproc)"
 REPS=3
 
@@ -139,6 +142,9 @@ report = {
     "baseline_commit": base_commit if base else None,
     "repetitions": int(reps),
     "statistic": "median of the repetitions; *_cv = stddev / mean",
+    "regression_rule": "head real_time slower than baseline by more than "
+                       "max(10%, 2 x the larger real_time_cv of the two sides)",
+    "regressions": [],
     "benchmarks": {},
 }
 for fig in ("fig9", "fig11", "scale_tenants", "frontend_scaleout"):
@@ -149,6 +155,11 @@ for name in sorted(set(head) | set(base)):
     h, b = head.get(name), base.get(name)
     if h and b and b["real_time"] > 0:
         entry["speedup"] = round(b["real_time"] / h["real_time"], 3)
+        slowdown = h["real_time"] / b["real_time"] - 1
+        bound = max(0.10, 2 * max(h.get("real_time_cv", 0), b.get("real_time_cv", 0)))
+        if slowdown > bound:
+            report["regressions"].append(
+                {"axis": name, "slowdown": round(slowdown, 3), "bound": round(bound, 3)})
     report["benchmarks"][name] = entry
 with open(out_path, "w") as f:
     json.dump(report, f, indent=2)
@@ -157,6 +168,9 @@ print(f"==> wrote {out_path}")
 for name, e in report["benchmarks"].items():
     s = e.get("speedup")
     print(f"    {name}: " + (f"{s}x vs baseline" if s else "head-only"))
+print(f"==> regressions: {len(report['regressions'])}")
+for r in report["regressions"]:
+    print(f"    {r['axis']}: {r['slowdown']:+.1%} slower (bound {r['bound']:.1%})")
 EOF
 STATUS=$?
 

@@ -147,7 +147,7 @@ class WatchCache {
       : store_(store),
         prefix_(std::move(prefix)),
         decode_(std::move(decode)),
-        exec_(std::move(exec)) {
+        apply_(std::move(exec), [this] { return ApplyBatch(); }) {
     Rebuild();  // synchronous so the first read after construction can hit
   }
 
@@ -264,49 +264,15 @@ class WatchCache {
     }
     cv_.notify_all();
     rebuilds_.fetch_add(1, std::memory_order_relaxed);
-    // Signal is installed after the channel is published; the ScheduleApply
-    // below picks up anything buffered in the gap.
-    (*ch)->SetSignal([this] { ScheduleApply(); });
-    ScheduleApply();
+    // Signal is installed after the channel is published; the Signal below
+    // picks up anything buffered in the gap.
+    (*ch)->SetSignal([this] { apply_.Signal(); });
+    apply_.Signal();
     return true;
   }
 
-  void ScheduleApply() {
-    std::lock_guard<std::mutex> l(strand_mu_);
-    if (stopping_ || scheduled_) return;
-    scheduled_ = true;
-    if (!exec_->Submit([this] { RunApply(); })) scheduled_ = false;
-  }
-
-  void RunApply() {
-    {
-      std::lock_guard<std::mutex> l(strand_mu_);
-      scheduled_ = false;
-      if (stopping_) {
-        strand_cv_.notify_all();
-        return;
-      }
-      if (running_) {
-        rerun_ = true;
-        return;
-      }
-      running_ = true;
-      rerun_ = false;
-    }
-    for (;;) {
-      const bool more = ApplyBatch();
-      std::lock_guard<std::mutex> l(strand_mu_);
-      if (stopping_ || (!more && !rerun_)) {
-        running_ = false;
-        strand_cv_.notify_all();
-        return;
-      }
-      rerun_ = false;
-    }
-  }
-
-  // Drains a bounded batch of events into the map. Returns true when more
-  // immediate work remains.
+  // The apply strand's body: drains a bounded batch of events into the map.
+  // Returns true when more immediate work remains.
   bool ApplyBatch() {
     std::shared_ptr<kv::WatchChannel> w;
     {
@@ -317,7 +283,7 @@ class WatchCache {
       // Watch previously broke. Rebuild unless the store is gone for good.
       if (store_->IsShutdown()) return false;
       Rebuild();
-      return false;  // Rebuild scheduled its own apply for buffered events
+      return false;  // Rebuild signalled the strand for buffered events
     }
     for (int budget = 0; budget < 256; ++budget) {
       std::optional<kv::Event> e = w->TryNext();
@@ -363,21 +329,11 @@ class WatchCache {
     cv_.notify_all();
   }
 
+  // Stops the strand first: a run that found its watch broken may Rebuild a
+  // fresh one (with a signal into `this`) until then; whatever the last run
+  // left is cancelled after.
   void Stop() {
-    {
-      std::lock_guard<std::mutex> l(strand_mu_);
-      stopping_ = true;
-    }
-    CancelWatch();
-    BlockingRegion blocking;  // the apply strand may need a pool slot to finish
-    {
-      std::unique_lock<std::mutex> l(strand_mu_);
-      strand_cv_.wait(l, [this] { return !scheduled_ && !running_; });
-    }
-    // An apply already running when stopping_ was set may have found its
-    // watch broken (Restart/BreakWatches) and Rebuilt a fresh one after the
-    // cancel above, with a signal into `this`. The strand is quiescent now,
-    // so cancel whatever it left before the cache is destroyed.
+    apply_.Stop();
     CancelWatch();
   }
 
@@ -398,7 +354,6 @@ class WatchCache {
   kv::KvStore* store_;
   const std::string prefix_;
   std::shared_ptr<DecodeCache> decode_;
-  std::shared_ptr<Executor> exec_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -407,15 +362,10 @@ class WatchCache {
   int64_t revision_ = 0;
   bool healthy_ = false;
 
-  // Apply strand: at most one RunApply active; Stop() waits for it.
-  std::mutex strand_mu_;
-  std::condition_variable strand_cv_;
-  bool scheduled_ = false;
-  bool running_ = false;
-  bool rerun_ = false;
-  bool stopping_ = false;
-
   std::atomic<uint64_t> rebuilds_{0};
+
+  // Applies the watch stream (ApplyBatch); declared last so it stops first.
+  Strand apply_;
 };
 
 }  // namespace vc::apiserver

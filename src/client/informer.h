@@ -11,15 +11,13 @@
 //   * The cache is eventually consistent with the apiserver; reconcilers must
 //     tolerate reading slightly stale objects (the syncer's races, §III-C).
 //
-// Threading: the informer owns no thread. It runs as a strand of tasks on the
-// clock's shared executor — the watch channel's push signal schedules a step,
-// each step drains a bounded batch of events, and at most one step runs at a
-// time (handlers stay serialized exactly as with the old per-informer
-// thread). Relist backoff and resync are executor timers.
+// Threading: the informer owns no thread. Its reflector steps run on one
+// vc::Strand on the clock's shared executor: the watch channel's push signal,
+// the relist backoff timer and the resync timer signal it, and at most one
+// step runs at a time, so handlers stay serialized.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -124,40 +122,31 @@ class SharedInformer {
     std::lock_guard<std::mutex> l(sm_mu_);
     if (started_) return;
     started_ = true;
-    stop_.store(false);
-    exec_ = Executor::SharedFor(opts_.clock);
+    step_.Start();
     if (opts_.resync_period > Duration::zero()) {
-      resync_timer_ = exec_->RunEvery(opts_.resync_period, [this] {
+      resync_timer_ = step_.executor()->RunEvery(opts_.resync_period, [this] {
         resync_due_.store(true);
-        ScheduleStep();
+        step_.Signal();
       });
     }
-    ScheduleStepLocked();
+    step_.Signal();
   }
 
+  // Waits out the step in progress. No step runs after it, so the watch and
+  // the timers the steps left behind are released here; Start() resumes from
+  // the last observed revision.
   void Stop() {
-    TimerHandle resync, backoff;
-    std::shared_ptr<apiserver::TypedWatch<T>> watch;
-    {
-      std::lock_guard<std::mutex> l(sm_mu_);
-      if (!started_) return;
-      stop_.store(true);
-      resync = resync_timer_;
-      backoff = backoff_timer_;
-      watch = watch_;
-    }
-    resync.Cancel();
-    backoff.Cancel();
-    if (watch) {
-      // Block out in-flight signals, then break any step reading the channel.
-      watch->SetSignal(nullptr);
-      watch->Cancel();
-    }
-    BlockingRegion br;  // the strand may need a pool slot to finish
-    std::unique_lock<std::mutex> l(sm_mu_);
-    idle_cv_.wait(l, [this] { return !scheduled_ && !running_; });
-    watch_.reset();
+    std::lock_guard<std::mutex> l(sm_mu_);
+    if (!started_) return;
     started_ = false;
+    step_.Stop();
+    resync_timer_.Cancel();
+    backoff_timer_.Cancel();
+    if (watch_) {
+      watch_->SetSignal(nullptr);  // blocks out in-flight signals
+      watch_->Cancel();
+      watch_.reset();
+    }
   }
 
   bool HasSynced() const { return synced_.load(); }
@@ -229,65 +218,17 @@ class SharedInformer {
     return list->revision;
   }
 
-  // Schedules one strand step on the executor (at most one queued at a time;
-  // the running step re-runs itself if more work arrived meanwhile).
-  void ScheduleStep() {
-    std::lock_guard<std::mutex> l(sm_mu_);
-    ScheduleStepLocked();
-  }
-
-  void ScheduleStepLocked() {
-    if (stop_.load() || scheduled_ || !exec_) return;
-    scheduled_ = true;
-    if (!exec_->Submit([this] { RunStep(); })) {
-      scheduled_ = false;  // executor torn down; Stop's idle wait must pass
-      idle_cv_.notify_all();
-    }
-  }
-
-  void RunStep() {
-    {
-      std::lock_guard<std::mutex> l(sm_mu_);
-      scheduled_ = false;
-      if (running_) {
-        // Another step is active; it loops again before going idle.
-        rerun_ = true;
-        return;
-      }
-      running_ = true;
-      rerun_ = false;
-    }
-    std::shared_ptr<void> step_token =
-        opts_.thread_hook ? opts_.thread_hook() : nullptr;
-    for (;;) {
-      const bool more = StepOnce();
-      std::lock_guard<std::mutex> l(sm_mu_);
-      if (stop_.load() || (!more && !rerun_)) {
-        // Drop the CPU-accounting token BEFORE announcing idle: the moment
-        // running_ clears, Stop() may return and the owner (and the
-        // CpuTimeGroup the token charges) may be destroyed. sm_mu_ never
-        // nests inside the group's mutex, so releasing under the lock is
-        // deadlock-free.
-        step_token.reset();
-        running_ = false;
-        idle_cv_.notify_all();
-        return;
-      }
-      rerun_ = false;
-    }
-  }
-
-  // One bounded unit of reflector work. Returns true when more immediate work
-  // remains (another batch of buffered events, or a broken watch to
-  // re-establish); false when the strand should wait for a signal or timer.
-  bool StepOnce() {
-    if (stop_.load()) return false;
+  // The strand's body: one bounded unit of reflector work. Returns true when
+  // more immediate work remains (another batch of buffered events, or a
+  // broken watch to re-establish); false when the strand should wait for a
+  // signal or timer.
+  bool Step() {
+    // The CPU-accounting token lives for this step and is dropped before the
+    // strand can report idle, after which Stop() may return and the owner
+    // (and the CpuTimeGroup the token charges) may be destroyed.
+    const std::shared_ptr<void> token = opts_.thread_hook ? opts_.thread_hook() : nullptr;
     if (resync_due_.exchange(false)) Resync();
-    std::shared_ptr<apiserver::TypedWatch<T>> watch;
-    {
-      std::lock_guard<std::mutex> l(sm_mu_);
-      watch = watch_;
-    }
+    std::shared_ptr<apiserver::TypedWatch<T>> watch = watch_;
     if (!watch) {
       // (Re-)establish the watch. `rv_` is the last revision observed via
       // list, data events, or bookmarks; when a watch breaks we first try to
@@ -317,20 +258,11 @@ class SharedInformer {
       // Install the push signal BEFORE draining so no event slips between
       // establishment and subscription; drain below picks up anything that
       // arrived in the gap.
-      watch->SetSignal([this] { ScheduleStep(); });
-      bool stopped;
-      {
-        std::lock_guard<std::mutex> l(sm_mu_);
-        stopped = stop_.load();
-        if (!stopped) watch_ = watch;
-      }
-      if (stopped) {
-        watch->SetSignal(nullptr);
-        watch->Cancel();
-        return false;
-      }
+      watch->SetSignal([this] { step_.Signal(); });
+      watch_ = watch;
     }
-    // Drain a bounded batch so one chatty informer cannot hog a pool worker.
+    // Drain a batch; the bound spaces out the strand's stop checks and the
+    // resync check above.
     for (int budget = 0; budget < 64; ++budget) {
       Result<apiserver::WatchEvent<T>> ev = watch->NextShared(Duration::zero());
       if (!ev.ok()) {
@@ -340,9 +272,8 @@ class SharedInformer {
         // the signal so the dead channel cannot reference us once dropped.
         watch->SetSignal(nullptr);
         watch->Cancel();
-        std::lock_guard<std::mutex> l(sm_mu_);
-        if (watch_ == watch) watch_.reset();
-        return !stop_.load();
+        watch_.reset();
+        return true;
       }
       rv_ = ev->revision;
       if (ev->type == apiserver::WatchEvent<T>::Type::kBookmark) {
@@ -364,9 +295,7 @@ class SharedInformer {
   }
 
   void ArmBackoff() {
-    std::lock_guard<std::mutex> l(sm_mu_);
-    if (stop_.load() || !exec_) return;
-    backoff_timer_ = exec_->RunAfter(kRelistBackoff, [this] { ScheduleStep(); });
+    backoff_timer_ = step_.executor()->RunAfter(kRelistBackoff, [this] { step_.Signal(); });
   }
 
   // Re-deliver every cached object as a self-update (client-go "resync").
@@ -379,26 +308,25 @@ class SharedInformer {
   ObjectCache<T> cache_;
   std::vector<EventHandlers<T>> handlers_;
 
-  // Strand state. rv_ is touched only from within steps (which never run
-  // concurrently); everything else is guarded by sm_mu_.
+  // Start/Stop lifecycle; guards started_ and resync_timer_.
   std::mutex sm_mu_;
-  std::condition_variable idle_cv_;
-  std::shared_ptr<Executor> exec_;
+  bool started_ = false;
+  TimerHandle resync_timer_;
+  // Steps own watch_, backoff_timer_ and rv_ (steps never run concurrently);
+  // Stop() releases the first two once no step can follow.
   std::shared_ptr<apiserver::TypedWatch<T>> watch_;
   TimerHandle backoff_timer_;
-  TimerHandle resync_timer_;
-  bool started_ = false;
-  bool scheduled_ = false;
-  bool running_ = false;
-  bool rerun_ = false;
   int64_t rv_ = -1;
 
-  std::atomic<bool> stop_{false};
   std::atomic<bool> resync_due_{false};
   std::atomic<bool> synced_{false};
   std::atomic<uint64_t> relists_{0};
   std::atomic<uint64_t> resumes_{0};
   std::atomic<uint64_t> bookmarks_{0};
+
+  // Runs Step() on the clock's shared executor; declared last so it stops
+  // before anything a step touches is destroyed.
+  Strand step_{Executor::SharedFor(opts_.clock), [this] { return Step(); }};
 };
 
 }  // namespace vc::client

@@ -366,6 +366,59 @@ std::shared_ptr<Executor> Executor::SharedFor(Clock* clock) {
   return sp;
 }
 
+// ---------------------------------------------------------------------------
+// Strand
+
+Strand::Strand(std::shared_ptr<Executor> exec, std::function<bool()> body)
+    : exec_(std::move(exec)), body_(std::move(body)) {}
+
+void Strand::Signal() {
+  uint32_t s = state_.load();
+  uint32_t next;
+  do {
+    if ((s & kStopped) != 0 || s == (kActive | kPending)) return;
+    next = (s & kActive) != 0 ? s | kPending : kActive;
+  } while (!state_.compare_exchange_weak(s, next));
+  if (next != kActive) return;  // the run in progress makes one more pass
+  if (!exec_->Submit([this] { Run(); })) Run();
+}
+
+void Strand::Run() {
+  for (;;) {
+    // Consume the signals so far; one that lands during the body re-arms it.
+    const uint32_t s = state_.fetch_and(~kPending);
+    if ((s & kStopped) == 0 && body_()) continue;
+    std::lock_guard<std::mutex> l(mu_);
+    uint32_t cur = state_.load();
+    while (cur == kActive || (cur & kStopped) != 0) {
+      // Go idle; a stopped strand also drops the pass a signal asked for.
+      if (state_.compare_exchange_weak(cur, cur & kStopped)) {
+        idle_cv_.notify_all();
+        return;
+      }
+    }
+  }
+}
+
+void Strand::Flush() {
+  const auto idle = [this] { return (state_.load() & kActive) == 0; };
+  {
+    // Checked under mu_: a run that has just gone idle may still be notifying.
+    std::lock_guard<std::mutex> l(mu_);
+    if (idle()) return;
+  }
+  BlockingRegion blocking;  // the run may need a pool slot to finish
+  std::unique_lock<std::mutex> l(mu_);
+  idle_cv_.wait(l, idle);
+}
+
+void Strand::Stop() {
+  state_.fetch_or(kStopped);
+  Flush();
+}
+
+void Strand::Start() { state_.fetch_and(~kStopped); }
+
 void ParallelFor(int n, const std::function<void(int)>& fn) {
   std::vector<std::thread> ts;
   ts.reserve(static_cast<size_t>(n));

@@ -202,6 +202,62 @@ class BlockingRegion {
   BlockingRegion& operator=(const BlockingRegion&) = delete;
 };
 
+// Strand: runs one body on an Executor, one call at a time — the
+// "schedule → rerun-if-signalled → drain-on-stop" loop behind the kv watch
+// dispatch, the watch cache's apply and every informer's reflector step.
+//
+// - The body returns true while it has more work right now.
+// - Signal(): submits a run only when the strand is idle. While a run is
+//   scheduled or in progress it only marks "run again": one atomic
+//   read-modify-write, no task, and K signals during a run add exactly one
+//   more body pass. A run calls the body in place on its worker until the
+//   body reports no more work and no signal arrived since the pass began, so
+//   a busy strand holds its worker for as long as work keeps arriving. A body
+//   that drains in bounded batches bounds only the time between its own
+//   checks (stop, resync), not how long the strand holds the worker.
+// - Flush(): returns once every run signalled before the call has finished.
+// - Stop(): refuses further runs (Signal becomes a no-op and a scheduled run
+//   exits without calling the body), then waits, inside a BlockingRegion,
+//   for the run in progress. Start() admits runs again. The destructor stops.
+// - If Submit fails (the executor is shut down) the run happens inline on the
+//   signalling thread, so no signalled work is lost.
+//
+// Flush and Stop must not be called from inside the body (they would wait for
+// themselves). Declare a Strand member after everything its body touches, so
+// it stops before any of that is destroyed.
+class Strand {
+ public:
+  Strand(std::shared_ptr<Executor> exec, std::function<bool()> body);
+  ~Strand() { Stop(); }
+
+  Strand(const Strand&) = delete;
+  Strand& operator=(const Strand&) = delete;
+
+  void Signal();
+  void Flush();
+  void Stop();
+  void Start();
+
+  Executor* executor() const { return exec_.get(); }
+
+ private:
+  // state_ bits. kActive: a run is scheduled or in progress. kPending: a
+  // signal arrived during that run. kStopped: runs are refused.
+  static constexpr uint32_t kActive = 1;
+  static constexpr uint32_t kPending = 2;
+  static constexpr uint32_t kStopped = 4;
+
+  void Run();
+
+  const std::shared_ptr<Executor> exec_;
+  const std::function<bool()> body_;
+  std::atomic<uint32_t> state_{0};
+  // A run leaves kActive under mu_, so a waiter that saw it set is woken,
+  // and the run touches nothing of the strand after that unlock.
+  std::mutex mu_;
+  std::condition_variable idle_cv_;
+};
+
 // Launch `n` copies of fn(i) on fresh threads and join them all, inside a
 // BlockingRegion. For fan-out bursts and load generation where per-thread
 // identity matters.

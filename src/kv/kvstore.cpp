@@ -103,12 +103,12 @@ KvStore::KvStore(Options opts)
       compacted_(opts.start_revision),
       max_log_events_(opts.max_log_events),
       max_log_bytes_(opts.max_log_bytes),
-      executor_(opts.executor ? std::move(opts.executor)
-                              : Executor::SharedFor(RealClock::Get())),
       wal_sync_every_commit_(opts.wal_sync_every_commit),
       wal_buffer_bytes_(opts.wal_buffer_bytes),
       wal_rotate_bytes_(opts.wal_rotate_bytes),
-      wal_dir_(opts.wal_dir) {
+      wal_dir_(opts.wal_dir),
+      dispatch_(opts.executor ? std::move(opts.executor) : Executor::SharedFor(RealClock::Get()),
+                [this] { return DispatchOne(); }) {
   if (!wal_dir_.empty()) RecoverFromDisk(opts);
 }
 
@@ -410,13 +410,14 @@ void KvStore::TrimLogLocked() {
   }
 }
 
-void KvStore::PublishLocked(Event e) {
+bool KvStore::PublishLocked(Event e) {
   const int64_t rev = e.revision;
   AppendWalLocked(e);
   log_bytes_ += EventBytes(e);
   log_.push_back(e);
   TrimLogLocked();
-  if (fan_targets_.load(std::memory_order_relaxed) > 0) {
+  const bool enqueue = fan_targets_.load(std::memory_order_relaxed) > 0;
+  if (enqueue) {
     DispatchCmd cmd;
     cmd.kind = DispatchCmd::Kind::kEvent;
     cmd.event = std::move(e);
@@ -425,6 +426,7 @@ void KvStore::PublishLocked(Event e) {
   // Last: a reader that observes `rev` also observes the map change and the
   // log entry made above.
   published_.store(rev, std::memory_order_release);
+  return enqueue;
 }
 
 void KvStore::EnqueueLocked(DispatchCmd cmd) {
@@ -432,34 +434,16 @@ void KvStore::EnqueueLocked(DispatchCmd cmd) {
   pending_.push_back(std::move(cmd));
 }
 
-void KvStore::KickDispatch() {
+bool KvStore::DispatchOne() {
+  DispatchCmd cmd;
   {
     std::lock_guard<std::mutex> pl(pend_mu_);
-    if (dispatch_active_ || pending_.empty()) return;
-    dispatch_active_ = true;
+    if (pending_.empty()) return false;
+    cmd = std::move(pending_.front());
+    pending_.pop_front();
   }
-  if (!executor_->Submit([this] { DispatchLoop(); })) {
-    // Executor torn down (process exit path): run the strand inline so no
-    // command is silently dropped.
-    DispatchLoop();
-  }
-}
-
-void KvStore::DispatchLoop() {
-  for (;;) {
-    DispatchCmd cmd;
-    {
-      std::lock_guard<std::mutex> pl(pend_mu_);
-      if (pending_.empty()) {
-        dispatch_active_ = false;
-        pend_cv_.notify_all();
-        return;  // must not touch *this past this point (see FlushWatchDispatch)
-      }
-      cmd = std::move(pending_.front());
-      pending_.pop_front();
-    }
-    ProcessCmd(std::move(cmd));
-  }
+  ProcessCmd(std::move(cmd));
+  return true;
 }
 
 void KvStore::ProcessCmd(DispatchCmd cmd) {
@@ -499,12 +483,7 @@ void KvStore::ProcessCmd(DispatchCmd cmd) {
   }
 }
 
-void KvStore::FlushWatchDispatch() {
-  KickDispatch();
-  BlockingRegion blocking;
-  std::unique_lock<std::mutex> pl(pend_mu_);
-  pend_cv_.wait(pl, [this] { return pending_.empty() && !dispatch_active_; });
-}
+void KvStore::FlushWatchDispatch() { dispatch_.Flush(); }
 
 // ------------------------------------------------------------------ mutations
 
@@ -512,6 +491,7 @@ Result<int64_t> KvStore::Put(const std::string& key, std::string value,
                              std::optional<int64_t> expected_mod_revision) {
   Blob blob(std::move(value));  // allocate before taking the lock
   int64_t rev;
+  bool enqueued;
   {
     std::unique_lock<std::shared_mutex> l(mu_);
     if (shutdown_.load(std::memory_order_acquire)) {
@@ -563,9 +543,9 @@ Result<int64_t> KvStore::Put(const std::string& key, std::string value,
     // Stamped under mu_: commit records trace in revision order, which the
     // checker's commit-monotonicity pass asserts.
     trace::Emit(trace::Component::kKv, trace::Verb::kPut, e.trace, rev, key);
-    PublishLocked(std::move(e));
+    enqueued = PublishLocked(std::move(e));
   }
-  KickDispatch();
+  if (enqueued) dispatch_.Signal();
   MaybeFlushWal();
   return rev;
 }
@@ -573,6 +553,7 @@ Result<int64_t> KvStore::Put(const std::string& key, std::string value,
 Result<int64_t> KvStore::Delete(const std::string& key,
                                 std::optional<int64_t> expected_mod_revision) {
   int64_t rev;
+  bool enqueued;
   {
     std::unique_lock<std::shared_mutex> l(mu_);
     if (shutdown_.load(std::memory_order_acquire)) {
@@ -601,9 +582,9 @@ Result<int64_t> KvStore::Delete(const std::string& key,
     entry_count_.fetch_sub(1, std::memory_order_relaxed);
     keys_.erase(it);
     trace::Emit(trace::Component::kKv, trace::Verb::kDelete, e.trace, rev, key);
-    PublishLocked(std::move(e));
+    enqueued = PublishLocked(std::move(e));
   }
-  KickDispatch();
+  if (enqueued) dispatch_.Signal();
   MaybeFlushWal();
   return rev;
 }
@@ -700,7 +681,7 @@ Result<std::shared_ptr<WatchChannel>> KvStore::Watch(const std::string& prefix,
     fan_targets_.fetch_add(1, std::memory_order_relaxed);
     EnqueueLocked(std::move(cmd));
   }
-  KickDispatch();
+  dispatch_.Signal();
   return ch;
 }
 
@@ -748,8 +729,7 @@ void KvStore::Shutdown() {
   }
   for (Watcher& w : watchers) w.channel->CloseGone();
   // Drain the strand: leftover events fan out to the (now empty) watcher set
-  // and stale registrations observe the epoch bump and close. After this, no
-  // strand task references *this.
+  // and stale registrations observe the epoch bump and close.
   FlushWatchDispatch();
 }
 

@@ -36,7 +36,7 @@
 //     allocation instead of deep-copying under a lock.
 //   * Writers never fan out: Put/Delete append the event to the log, enqueue
 //     a dispatch command, and return. Filter evaluation, bookmark pacing, and
-//     overflow poisoning run on a sequenced strand (one task at a time) on
+//     overflow poisoning run on one vc::Strand (one body call at a time) on
 //     the shared Executor, preserving per-watcher ordering and the
 //     no-gap/no-dup replay contract (registration commands are sequenced
 //     through the same queue, with replay captured under mu_).
@@ -383,13 +383,15 @@ class KvStore {
   // already updated. Appends to the WAL batch, the replay log (trimming it)
   // and, if anyone listens, the dispatch queue, then advances published_.
   // From here the write is globally visible (read-your-write holds).
-  void PublishLocked(Event e);
+  // Returns true when it queued a dispatch command.
+  bool PublishLocked(Event e);
   void TrimLogLocked();
   // Enqueues cmd (requires mu_ held exclusive, so queue order == revision
-  // order) without kicking the strand; call KickDispatch() after unlocking.
+  // order) without signalling the strand; signal dispatch_ after unlocking.
   void EnqueueLocked(DispatchCmd cmd);
-  void KickDispatch();
-  void DispatchLoop();
+  // The dispatch strand's body: processes one queued command; false when
+  // the queue was empty.
+  bool DispatchOne();
   void ProcessCmd(DispatchCmd cmd);
   // Offers `e` if it survives the watcher's filter; otherwise emits a
   // bookmark when the watcher has been quiet for bookmark_interval revisions.
@@ -440,8 +442,6 @@ class KvStore {
   std::atomic<size_t> live_bytes_{0};
   std::atomic<size_t> entry_count_{0};
 
-  std::shared_ptr<Executor> executor_;
-
   // ---- durability state ----
   const bool wal_sync_every_commit_;
   const size_t wal_buffer_bytes_;
@@ -464,12 +464,9 @@ class KvStore {
   uint64_t wal_checkpoints_ = 0;      // guarded by wal_io_mu_
 
   // Dispatch queue. Commits push under mu_ + pend_mu_; the strand
-  // pops under pend_mu_ alone. dispatch_active_ is true while a strand task
-  // is scheduled or running — at most one at a time.
+  // pops under pend_mu_ alone.
   std::mutex pend_mu_;
-  std::condition_variable pend_cv_;
   std::deque<DispatchCmd> pending_;
-  bool dispatch_active_ = false;
   uint64_t epoch_ = 0;  // bumped by BreakWatches/Shutdown; guarded by pend_mu_
 
   // Watchers are owned by the dispatch strand; fan_mu_ also admits
@@ -481,6 +478,10 @@ class KvStore {
   std::atomic<int64_t> fan_targets_{0};
   // Pending silent delivery drops (TestDropNextDeliveries); strand-only reads.
   std::atomic<int> test_drop_deliveries_{0};
+
+  // The watch dispatch strand (DispatchOne on Options::executor). Declared
+  // last so it stops before anything it touches is destroyed.
+  Strand dispatch_;
 };
 
 }  // namespace vc::kv

@@ -1,14 +1,17 @@
 // Unit tests for the shared executor + timer service (common/executor.h):
 // task ordering, timer cancellation semantics, RunEvery behaviour under
-// manual-clock fast-forward, shutdown with pending timers, and blocking
-// compensation.
+// manual-clock fast-forward, shutdown with pending timers, blocking
+// compensation, and the Strand's Signal/Flush/Stop contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/executor.h"
+#include "pool_gate.h"
 
 namespace vc {
 namespace {
@@ -385,6 +388,172 @@ TEST(ExecutorTest, ConcurrentArmCancelAdvanceStress) {
   stop = true;
   advancer.join();
   EXPECT_EQ(fired.load() + cancelled.load(), kIters);
+}
+
+// ---------------------------------------------------------------------------
+// Strand
+
+std::shared_ptr<Executor> SmallExecutor(int threads = 2) {
+  Executor::Options o;
+  o.threads = threads;
+  return std::make_shared<Executor>(o);
+}
+
+// A strand body that parks inside its first pass until Release(), so a test
+// can act while a run is in progress.
+class ParkingBody {
+ public:
+  bool operator()() {
+    std::unique_lock<std::mutex> l(mu_);
+    ++passes_;
+    cv_.notify_all();
+    cv_.wait(l, [this] { return released_; });
+    return false;
+  }
+  void AwaitPasses(int n) {
+    std::unique_lock<std::mutex> l(mu_);
+    cv_.wait(l, [&] { return passes_ >= n; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> l(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  int passes() {
+    std::lock_guard<std::mutex> l(mu_);
+    return passes_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int passes_ = 0;
+  bool released_ = false;
+};
+
+// Signals that land while a run is queued behind a parked pool cost no task
+// and no extra pass: the queued run has not consumed anything yet.
+TEST(StrandTest, SignalsWhileScheduledShareOneTask) {
+  auto exec = SmallExecutor();
+  std::atomic<int> passes{0};
+  Strand strand(exec, [&] {
+    passes++;
+    return false;
+  });
+  const uint64_t before = exec->tasks_run();
+  {
+    ExecutorGate gate(exec.get());
+    for (int i = 0; i < 16; ++i) strand.Signal();
+  }
+  strand.Flush();
+  exec->Wait();
+  EXPECT_EQ(passes.load(), 1);
+  // The gate's own tasks plus exactly one strand run.
+  EXPECT_EQ(exec->tasks_run() - before, static_cast<uint64_t>(exec->threads()) + 1);
+}
+
+// K signals during a parked body pass add no task and exactly one more pass.
+TEST(StrandTest, SignalsDuringRunAddOnePassAndNoTask) {
+  auto exec = SmallExecutor();
+  ParkingBody body;
+  Strand strand(exec, [&] { return body(); });
+  strand.Signal();
+  body.AwaitPasses(1);
+  const uint64_t tasks = exec->tasks_run();
+  for (int i = 0; i < 16; ++i) strand.Signal();
+  body.Release();
+  strand.Flush();
+  exec->Wait();
+  EXPECT_EQ(body.passes(), 2);
+  EXPECT_EQ(exec->tasks_run() - tasks, 1u);  // the run itself, now finished
+}
+
+// A run loops in place while the body reports more work.
+TEST(StrandTest, RunLoopsWhileBodyHasMore) {
+  auto exec = SmallExecutor();
+  std::atomic<int> passes{0};
+  Strand strand(exec, [&] { return ++passes < 5; });
+  const uint64_t before = exec->tasks_run();
+  strand.Signal();
+  strand.Flush();
+  exec->Wait();
+  EXPECT_EQ(passes.load(), 5);
+  EXPECT_EQ(exec->tasks_run() - before, 1u);
+}
+
+TEST(StrandTest, FlushWaitsForSignalledRun) {
+  auto exec = SmallExecutor();
+  std::atomic<bool> done{false};
+  Strand strand(exec, [&] {
+    RealClock::Get()->SleepFor(Millis(30));
+    done = true;
+    return false;
+  });
+  strand.Signal();
+  strand.Flush();
+  EXPECT_TRUE(done.load());
+}
+
+// Stop waits out the pass in progress; the pass a signal asked for during it
+// and every later signal are refused.
+TEST(StrandTest, StopWaitsOutRunAndRefusesMore) {
+  auto exec = SmallExecutor();
+  ParkingBody body;
+  Strand strand(exec, [&] { return body(); });
+  strand.Signal();
+  body.AwaitPasses(1);
+  strand.Signal();  // asks for a second pass
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    strand.Stop();
+    stopped = true;
+  });
+  RealClock::Get()->SleepFor(Millis(20));
+  EXPECT_FALSE(stopped.load());  // the parked pass is still in progress
+  body.Release();
+  stopper.join();
+  const uint64_t tasks = exec->tasks_run();
+  strand.Signal();
+  exec->Wait();
+  EXPECT_EQ(body.passes(), 1);
+  EXPECT_EQ(exec->tasks_run(), tasks);
+}
+
+TEST(StrandTest, SignalWorksAgainAfterRestart) {
+  auto exec = SmallExecutor();
+  std::atomic<int> passes{0};
+  Strand strand(exec, [&] {
+    passes++;
+    return false;
+  });
+  strand.Signal();
+  strand.Flush();
+  strand.Stop();
+  strand.Signal();
+  exec->Wait();
+  EXPECT_EQ(passes.load(), 1);
+  strand.Start();
+  strand.Signal();
+  strand.Flush();
+  EXPECT_EQ(passes.load(), 2);
+}
+
+// Once the executor is shut down Submit fails, and the run happens inline on
+// the signalling thread so no signalled work is lost.
+TEST(StrandTest, RunsInlineWhenSubmitFails) {
+  auto exec = SmallExecutor();
+  exec->Shutdown();
+  std::atomic<int> passes{0};
+  std::thread::id ran_on;
+  Strand strand(exec, [&] {
+    ran_on = std::this_thread::get_id();
+    return ++passes < 3;
+  });
+  strand.Signal();
+  EXPECT_EQ(passes.load(), 3);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  strand.Signal();
+  EXPECT_EQ(passes.load(), 4);
 }
 
 }  // namespace
