@@ -5,15 +5,22 @@ namespace vc::bench {
 namespace {
 
 // Waits until `expected` tenant pods have been reported Ready by the upward
-// path, with a stall guard.
-void AwaitUpwardReady(core::Syncer& syncer, size_t expected, Duration timeout) {
+// path, with a stall guard. The syncer records UWS-Process when an upward
+// write returns, before the runtime holds the write's slot for its modeled
+// op cost (`write_cost`); the run ends once that cost has elapsed for the
+// last write too, as it would for a write that took its service time.
+void AwaitUpwardReady(core::Syncer& syncer, size_t expected, Duration timeout,
+                      Duration write_cost) {
   Clock* clock = RealClock::Get();
   Stopwatch sw(clock);
   size_t last = 0;
   TimePoint last_progress = clock->Now();
   for (;;) {
     size_t done = syncer.metrics().uws_process.Count();
-    if (done >= expected) return;
+    if (done >= expected) {
+      clock->SleepFor(write_cost);
+      return;
+    }
     if (done != last) {
       last = done;
       last_progress = clock->Now();
@@ -70,7 +77,8 @@ RunResult RunVcCase(const RunConfig& cfg, bool keep_phase_metrics) {
     }
   });
 
-  AwaitUpwardReady(deploy->syncer(), static_cast<size_t>(total), Seconds(1200));
+  AwaitUpwardReady(deploy->syncer(), static_cast<size_t>(total), Seconds(1200),
+                   cfg.cal.upward_op_cost);
 
   RunResult out;
   out.wall_seconds = ToSeconds(wall.Elapsed());

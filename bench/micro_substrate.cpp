@@ -17,6 +17,7 @@
 #include "client/fairqueue.h"
 #include "client/informer.h"
 #include "common/executor.h"
+#include "controllers/runtime.h"
 #include "kv/kvstore.h"
 #include "scheduler/predicates.h"
 
@@ -230,6 +231,31 @@ void BM_InformerDelivery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_InformerDelivery)->Arg(256)->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+// Reconciler runtime: 1024 distinct keys per iteration through a Reconciler
+// with range(0) workers and a no-op bool reconcile, timed until the last one
+// finished. Covers the fair queue, the pump, one executor task per reconcile
+// and the finish with its slot handoff. items/s = reconciles per second.
+void BM_ReconcilerThroughput(benchmark::State& state) {
+  constexpr int kKeys = 1024;
+  controllers::Reconciler::Options o;
+  o.name = "bm-reconciler";
+  o.workers = static_cast<int>(state.range(0));
+  controllers::Reconciler r(std::move(o),
+                            controllers::Reconciler::SyncFn([](const std::string&) { return true; }));
+  r.Start();
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) keys.push_back("default/key-" + std::to_string(i));
+  uint64_t want = 0;
+  for (auto _ : state) {
+    for (const std::string& key : keys) r.Enqueue("tenant", key);
+    want += kKeys;
+    while (r.reconciles() < want) std::this_thread::yield();
+  }
+  r.Stop();
+  state.SetItemsProcessed(state.iterations() * kKeys);
+}
+BENCHMARK(BM_ReconcilerThroughput)->Arg(1)->Arg(20)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // WRR dequeue cost as a function of registered vs active tenants. The
 // rotation only tracks tenants with queued work, so cost must follow

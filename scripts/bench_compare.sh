@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Hot-path benchmark comparison: builds the current checkout (head) and, when
 # possible, its parent commit (baseline) in a temporary copy, runs the storage +
-# queue microbenches (3 repetitions; each axis records its median and cv) plus
-# the quick fig9/fig11/scale_tenants harnesses on both, and writes
-# BENCH_storage.json with both sets of numbers side by side. Every axis whose
-# head median is slower than the baseline's by more than max(10%, 2·cv) is
-# listed under "regressions".
+# queue microbenches REPS times per side (default 5), alternating head and
+# baseline runs and which of the two goes first, plus the quick
+# fig9/fig11/scale_tenants harnesses once per side, and writes
+# BENCH_storage.json with both sets of numbers side by side. Each axis reports
+# its median and cv per side and, from the runs paired by repetition, the
+# median of the paired baseline/head time ratios ("speedup") with their
+# interquartile range. Every axis whose median paired slowdown exceeds
+# max(10%, the slowdowns' interquartile range) is listed under "regressions".
 #
 #   scripts/bench_compare.sh                 # baseline = HEAD~1
-#   BASELINE_REF=main~2 scripts/bench_compare.sh
+#   BASELINE_REF=main~2 REPS=7 scripts/bench_compare.sh
 #
 # The head's bench/ sources are copied into the baseline copy so both
 # builds run the *same* benchmark binary names and arguments
@@ -26,24 +29,33 @@ OUT="${OUT:-BENCH_storage.json}"
 # The Pod-path layers: codec (BM_PodEncode, BM_PodDecode), the apiserver
 # Create verb (BM_ApiServerCreate) and the scheduler's filter pass over N
 # nodes (BM_SchedulerFilter/N). BM_InformerDelivery/N times N Pod Creates
-# until each reached a SharedInformer handler.
-FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord|BM_TimerArmCancel|BM_PodEncode|BM_PodDecode|BM_ApiServerCreate|BM_SchedulerFilter|BM_InformerDelivery'
+# until each reached a SharedInformer handler. BM_ReconcilerThroughput/W runs
+# 1024 keys through a Reconciler with W workers and a no-op reconcile.
+FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord|BM_TimerArmCancel|BM_PodEncode|BM_PodDecode|BM_ApiServerCreate|BM_SchedulerFilter|BM_InformerDelivery|BM_ReconcilerThroughput'
 NPROC="$(nproc)"
-REPS=3
+REPS="${REPS:-5}"
+if [ "$REPS" -lt 5 ]; then REPS=5; fi
 
-build_and_run() {  # $1 = source dir, $2 = result json, $3 = text-output dir
-  local src="$1" out="$2" txt="$3"
-  mkdir -p "$src/build-bench" "$txt"
+build() {  # $1 = source dir
+  local src="$1"
+  mkdir -p "$src/build-bench"
   cmake -S "$src" -B "$src/build-bench" -DCMAKE_BUILD_TYPE=Release \
         > "$src/build-bench/configure.log" 2>&1 || return 1
   cmake --build "$src/build-bench" -j "$NPROC" \
         --target micro_substrate fig9_throughput fig11_fairness scale_tenants \
                  frontend_scaleout \
         > "$src/build-bench/build.log" 2>&1 || return 1
-  "$src/build-bench/bench/micro_substrate" \
+}
+
+micro() {  # $1 = source dir, $2 = result json (one repetition)
+  "$1/build-bench/bench/micro_substrate" \
       --benchmark_filter="$FILTER" \
-      --benchmark_out="$out" --benchmark_out_format=json \
-      --benchmark_repetitions="$REPS" || return 1
+      --benchmark_out="$2" --benchmark_out_format=json > /dev/null
+}
+
+figs() {  # $1 = source dir, $2 = text-output dir
+  local src="$1" txt="$2"
+  mkdir -p "$txt"
   "$src/build-bench/bench/fig9_throughput" --quick > "$txt/fig9" 2>&1 || return 1
   # Fairness ablation and tenant-scale sweep guard the reconciler runtime:
   # fig11 exercises the WRR/FIFO split end to end, scale_tenants the
@@ -55,15 +67,13 @@ build_and_run() {  # $1 = source dir, $2 = result json, $3 = text-output dir
   "$src/build-bench/bench/frontend_scaleout" --quick > "$txt/frontend_scaleout" 2>&1 || return 1
 }
 
-echo "==> head: building + running storage benches"
-HEAD_JSON="$(mktemp)"
-HEAD_TXT="$(mktemp -d)"
-if ! build_and_run "$PWD" "$HEAD_JSON" "$HEAD_TXT"; then
-  echo "error: head benchmark run failed" >&2
+echo "==> head: building"
+if ! build "$PWD"; then
+  echo "error: head build failed" >&2
   exit 1
 fi
-
-BASE_JSON=""
+RUNS="$(mktemp -d)"
+HEAD_TXT="$RUNS/head-figs"
 BASE_TXT=""
 BASE_DIR=""
 if git rev-parse --verify -q "$BASELINE_REF" > /dev/null; then
@@ -73,12 +83,10 @@ if git rev-parse --verify -q "$BASELINE_REF" > /dev/null; then
     # Same bench sources on both sides so names/args line up.
     rm -rf "$BASE_DIR/bench"
     cp -r bench "$BASE_DIR/bench"
-    BASE_JSON="$(mktemp)"
-    BASE_TXT="$(mktemp -d)"
-    if ! build_and_run "$BASE_DIR" "$BASE_JSON" "$BASE_TXT"; then
-      echo "warning: baseline build/run failed; emitting head-only results" >&2
-      BASE_JSON=""
-      BASE_TXT=""
+    if build "$BASE_DIR"; then
+      BASE_TXT="$RUNS/base-figs"
+    else
+      echo "warning: baseline build failed; emitting head-only results" >&2
     fi
   else
     echo "warning: could not export $BASELINE_REF; head-only results" >&2
@@ -87,39 +95,78 @@ else
   echo "warning: baseline ref $BASELINE_REF not found; head-only results" >&2
 fi
 
-python3 - "$HEAD_JSON" "$BASE_JSON" "$OUT" "$BASELINE_REF" "$HEAD_TXT" "$BASE_TXT" "$REPS" <<'EOF'
-import json, os, subprocess, sys
+# Paired repetitions: head and baseline alternate, and so does which of the
+# two runs first, so a drift of the machine over the run hits both sides.
+for ((rep = 1; rep <= REPS; rep++)); do
+  order="head base"
+  if ((rep % 2 == 0)); then order="base head"; fi
+  for side in $order; do
+    if [ "$side" = head ]; then
+      echo "==> repetition $rep/$REPS: head"
+      micro "$PWD" "$RUNS/head-$rep.json" || { echo "error: head run failed" >&2; exit 1; }
+    elif [ -n "$BASE_TXT" ]; then
+      echo "==> repetition $rep/$REPS: baseline"
+      if ! micro "$BASE_DIR" "$RUNS/base-$rep.json"; then
+        echo "warning: baseline run failed; emitting head-only results" >&2
+        BASE_TXT=""
+      fi
+    fi
+  done
+done
+echo "==> figure harnesses"
+figs "$PWD" "$HEAD_TXT" || { echo "error: head figure run failed" >&2; exit 1; }
+if [ -n "$BASE_TXT" ] && ! figs "$BASE_DIR" "$BASE_TXT"; then
+  echo "warning: baseline figure run failed" >&2
+  BASE_TXT=""
+fi
+if [ -z "$BASE_TXT" ]; then rm -f "$RUNS"/base-*.json; fi
 
-head_path, base_path, out_path, base_ref, head_txt, base_txt, reps = sys.argv[1:8]
+python3 - "$RUNS" "$OUT" "$BASELINE_REF" "$HEAD_TXT" "$BASE_TXT" "$REPS" <<'EOF'
+import glob, json, os, statistics, subprocess, sys
 
-def load(path):
-    """Per axis: the median over the repetitions (times and counters) plus the
-    coefficient of variation of both times. Axis names drop the "/real_time"
-    tag google-benchmark inserts, e.g. "BM_KvPut/threads:4"."""
-    if not path:
-        return {}
-    with open(path) as f:
-        raw = json.load(f)
+runs, out_path, base_ref, head_txt, base_txt, reps = sys.argv[1:7]
+
+def quartiles(xs):
+    xs = sorted(xs)
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+
+def load(side):
+    """Per axis: the real/cpu time of every repetition, by repetition number.
+    Axis names drop the "/real_time" tag google-benchmark inserts, e.g.
+    "BM_KvPut/threads:4"."""
     out = {}
-    for b in raw.get("benchmarks", []):
-        agg = b.get("aggregate_name")
-        if b.get("run_type") != "aggregate" or agg not in ("median", "cv"):
-            continue
-        e = out.setdefault(b["run_name"].replace("/real_time", ""), {})
-        if agg == "median":
-            e.update({
-                "real_time": b["real_time"],
-                "cpu_time": b["cpu_time"],
-                "time_unit": b["time_unit"],
-                **{k: b[k] for k in ("items_per_second", "bytes_per_second",
-                                     "decode_reduction", "decoded_bytes") if k in b},
-            })
-        else:
-            e["real_time_cv"] = round(b["real_time"], 4)
-            e["cpu_time_cv"] = round(b["cpu_time"], 4)
+    for path in glob.glob(os.path.join(runs, f"{side}-*.json")):
+        rep = int(os.path.basename(path)[len(side) + 1:-len(".json")])
+        with open(path) as f:
+            raw = json.load(f)
+        for b in raw.get("benchmarks", []):
+            if b.get("run_type") != "iteration":
+                continue
+            e = out.setdefault(b["run_name"].replace("/real_time", ""), {})
+            e[rep] = b
     return out
 
-head, base = load(head_path), load(base_path)
+def summary(by_rep):
+    """Median over the repetitions (times and counters) and the coefficient
+    of variation of both times."""
+    bs = list(by_rep.values())
+    med = lambda k: statistics.median(b[k] for b in bs)
+    cv = lambda k: (statistics.stdev(b[k] for b in bs) / statistics.mean(b[k] for b in bs)
+                    if len(bs) > 1 else 0.0)
+    e = {"real_time": med("real_time"), "cpu_time": med("cpu_time"),
+         "time_unit": bs[0]["time_unit"], "real_time_cv": round(cv("real_time"), 4),
+         "cpu_time_cv": round(cv("cpu_time"), 4), "repetitions": len(bs)}
+    for k in ("items_per_second", "bytes_per_second", "decode_reduction", "decoded_bytes"):
+        if k in bs[0]:
+            e[k] = med(k)
+    return e
+
+head_runs, base_runs = load("head"), load("base")
+head = {name: summary(r) for name, r in head_runs.items()}
+base = {name: summary(r) for name, r in base_runs.items()}
 rev = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
                      text=True).stdout.strip()
 if subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
@@ -141,9 +188,14 @@ report = {
     "baseline_ref": base_ref if base else None,
     "baseline_commit": base_commit if base else None,
     "repetitions": int(reps),
-    "statistic": "median of the repetitions; *_cv = stddev / mean",
-    "regression_rule": "head real_time slower than baseline by more than "
-                       "max(10%, 2 x the larger real_time_cv of the two sides)",
+    "pairing": "repetition i of head and of baseline run back to back; the "
+               "side that runs first alternates",
+    "statistic": "median of the repetitions; *_cv = stddev / mean; speedup = "
+                 "median over paired repetitions of baseline/head real_time, "
+                 "speedup_iqr = its interquartile range",
+    "regression_rule": "median paired slowdown (head/baseline real_time - 1) "
+                       "above max(10%, the interquartile range of the paired "
+                       "slowdowns)",
     "regressions": [],
     "benchmarks": {},
 }
@@ -152,11 +204,18 @@ for fig in ("fig9", "fig11", "scale_tenants", "frontend_scaleout"):
                               "baseline": read_text(base_txt, fig)}
 for name in sorted(set(head) | set(base)):
     entry = {"head": head.get(name), "baseline": base.get(name)}
-    h, b = head.get(name), base.get(name)
-    if h and b and b["real_time"] > 0:
-        entry["speedup"] = round(b["real_time"] / h["real_time"], 3)
-        slowdown = h["real_time"] / b["real_time"] - 1
-        bound = max(0.10, 2 * max(h.get("real_time_cv", 0), b.get("real_time_cv", 0)))
+    pairs = sorted(set(head_runs.get(name, {})) & set(base_runs.get(name, {})))
+    if pairs:
+        hr, br = head_runs[name], base_runs[name]
+        speedups = [br[i]["real_time"] / hr[i]["real_time"] for i in pairs]
+        slowdowns = [hr[i]["real_time"] / br[i]["real_time"] - 1 for i in pairs]
+        q1, q3 = quartiles(speedups)
+        entry["speedup"] = round(statistics.median(speedups), 3)
+        entry["speedup_iqr"] = [round(q1, 3), round(q3, 3)]
+        entry["pairs"] = len(pairs)
+        s1, s3 = quartiles(slowdowns)
+        slowdown = statistics.median(slowdowns)
+        bound = max(0.10, s3 - s1)
         if slowdown > bound:
             report["regressions"].append(
                 {"axis": name, "slowdown": round(slowdown, 3), "bound": round(bound, 3)})
@@ -167,7 +226,8 @@ with open(out_path, "w") as f:
 print(f"==> wrote {out_path}")
 for name, e in report["benchmarks"].items():
     s = e.get("speedup")
-    print(f"    {name}: " + (f"{s}x vs baseline" if s else "head-only"))
+    print(f"    {name}: " + (f"{s}x vs baseline (IQR {e['speedup_iqr'][0]}-{e['speedup_iqr'][1]})"
+                             if s else "head-only"))
 print(f"==> regressions: {len(report['regressions'])}")
 for r in report["regressions"]:
     print(f"    {r['axis']}: {r['slowdown']:+.1%} slower (bound {r['bound']:.1%})")
@@ -177,4 +237,5 @@ STATUS=$?
 if [ -n "$BASE_DIR" ] && [ -d "$BASE_DIR" ]; then
   rm -rf "$BASE_DIR"
 fi
+rm -rf "$RUNS"
 exit $STATUS

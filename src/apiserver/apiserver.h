@@ -720,15 +720,23 @@ Result<T> Write(APIServer& server, T obj, bool status, const RequestContext& ctx
                 : server.Update<T>(std::move(obj), ctx);
 }
 
+// On success `out`, when set, receives the object as the server now holds it.
 template <typename T, typename Fn>
 Status RetryWrite(APIServer& server, const std::string& ns, const std::string& name,
-                  Fn& fn, bool status, const RequestContext& ctx, int max_attempts) {
+                  Fn& fn, bool status, const RequestContext& ctx, int max_attempts,
+                  T* out = nullptr) {
   for (int i = 0; i < max_attempts; ++i) {
     Result<T> obj = server.Get<T>(ns, name, ctx);
     if (!obj.ok()) return obj.status();
-    if (!fn(*obj)) return OkStatus();
+    if (!fn(*obj)) {
+      if (out != nullptr) *out = std::move(*obj);
+      return OkStatus();
+    }
     Result<T> updated = Write(server, std::move(*obj), status, ctx);
-    if (updated.ok()) return OkStatus();
+    if (updated.ok()) {
+      if (out != nullptr) *out = std::move(*updated);
+      return OkStatus();
+    }
     if (!updated.status().IsConflict()) return updated.status();
   }
   return AbortedError(std::string(status ? "RetryUpdateStatus" : "RetryUpdate") +
@@ -738,13 +746,17 @@ Status RetryWrite(APIServer& server, const std::string& ns, const std::string& n
 // The CAS on the cached copy is the first of kWriteAttempts writes.
 template <typename T, typename Fn>
 Status WriteFrom(APIServer& server, const T& cached, Fn& fn, bool status,
-                 const RequestContext& ctx) {
+                 const RequestContext& ctx, T* out = nullptr) {
   T copy = cached;
-  if (!fn(copy)) return OkStatus();
+  if (!fn(copy)) {
+    if (out != nullptr) *out = cached;
+    return OkStatus();
+  }
   Result<T> updated = Write(server, std::move(copy), status, ctx);
+  if (updated.ok() && out != nullptr) *out = std::move(*updated);
   if (!updated.status().IsConflict()) return updated.status();
   return RetryWrite<T>(server, cached.meta.ns, cached.meta.name, fn, status, ctx,
-                       kWriteAttempts - 1);
+                       kWriteAttempts - 1, out);
 }
 
 }  // namespace detail
@@ -777,11 +789,12 @@ Status RetryUpdateStatus(APIServer& server, const std::string& ns, const std::st
 // Only on Conflict does it fall back to RetryUpdate, which re-reads and
 // re-runs fn against the live object. fn returning false on the cached copy
 // is final, so the caller must be re-triggered by any newer version of the
-// object (DESIGN.md §8.1).
+// object (DESIGN.md §8.1). On success `out`, when set, receives the object
+// as the server now holds it, for a caller that keeps its own copy.
 template <typename T, typename Fn>
 Status UpdateFrom(APIServer& server, const T& cached, Fn fn,
-                  const RequestContext& ctx = RequestContext::Loopback()) {
-  return detail::WriteFrom(server, cached, fn, /*status=*/false, ctx);
+                  const RequestContext& ctx = RequestContext::Loopback(), T* out = nullptr) {
+  return detail::WriteFrom(server, cached, fn, /*status=*/false, ctx, out);
 }
 
 // Status-subresource variant of UpdateFrom (RBAC verb "update-status").

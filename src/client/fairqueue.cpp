@@ -82,10 +82,9 @@ void FairQueue::Add(const std::string& tenant, const std::string& key) {
       return;
     }
     if (opts_.fair) {
-      auto [it, inserted] = subqueues_.try_emplace(tenant);
-      if (inserted) it->second.weight = std::max(1, opts_.default_weight);
-      it->second.keys.push_back(key);
-      ActivateLocked(tenant, &it->second);
+      SubQueue& sq = subqueues_[tenant];
+      sq.keys.push_back(key);
+      ActivateLocked(tenant, &sq);
     } else {
       fifo_.push_back(Item{tenant, key, opts_.clock->Now()});
     }
@@ -191,10 +190,9 @@ void FairQueue::Done(const Item& item) {
     if (dirty_.count(fk)) {
       // Went dirty during processing: re-queue into the tenant sub-queue.
       if (opts_.fair) {
-        auto [it, inserted] = subqueues_.try_emplace(item.tenant);
-        if (inserted) it->second.weight = std::max(1, opts_.default_weight);
-        it->second.keys.push_back(item.key);
-        ActivateLocked(item.tenant, &it->second);
+        SubQueue& sq = subqueues_[item.tenant];
+        sq.keys.push_back(item.key);
+        ActivateLocked(item.tenant, &sq);
       } else {
         fifo_.push_back(Item{item.tenant, item.key, opts_.clock->Now()});
       }

@@ -36,8 +36,7 @@ namespace vc::client {
 class FairQueue {
  public:
   struct Options {
-    bool fair = true;        // false = single shared FIFO (Fig. 11(b) ablation)
-    int default_weight = 1;  // weight for tenants never explicitly registered
+    bool fair = true;  // false = single shared FIFO (Fig. 11(b) ablation)
     Clock* clock = RealClock::Get();
   };
 
@@ -53,7 +52,7 @@ class FairQueue {
   explicit FairQueue(Options opts);
 
   // Tenant registration sets the WRR weight; unregistered tenants are
-  // auto-registered with default_weight on first Add. (The paper's current
+  // auto-registered with weight 1 on first Add. (The paper's current
   // system assigns all tenants the same weight; custom weights are its listed
   // future work — supported here.) Re-registering an existing tenant updates
   // its weight in place, so the syncer can apply VirtualCluster spec weight

@@ -12,9 +12,9 @@
 //     tolerate reading slightly stale objects (the syncer's races, §III-C).
 //
 // Threading: the informer owns no thread. Its reflector steps run on one
-// vc::Strand on the clock's shared executor: the watch channel's push signal,
-// the relist backoff timer and the resync timer signal it, and at most one
-// step runs at a time, so handlers stay serialized.
+// vc::Strand on the clock's shared executor: the watch channel's push signal
+// and the relist backoff timer signal it, and at most one step runs at a
+// time, so handlers stay serialized.
 #pragma once
 
 #include <atomic>
@@ -99,7 +99,6 @@ class SharedInformer {
  public:
   struct Options {
     Clock* clock = RealClock::Get();
-    Duration resync_period = Duration::zero();  // 0 = no resync
     // Invoked at the start of every strand step; the returned token lives for
     // that step. Used e.g. to enroll the step's CPU time in a CpuTimeGroup
     // for the syncer's Fig. 10 accounting.
@@ -123,12 +122,6 @@ class SharedInformer {
     if (started_) return;
     started_ = true;
     step_.Start();
-    if (opts_.resync_period > Duration::zero()) {
-      resync_timer_ = step_.executor()->RunEvery(opts_.resync_period, [this] {
-        resync_due_.store(true);
-        step_.Signal();
-      });
-    }
     step_.Signal();
   }
 
@@ -140,7 +133,6 @@ class SharedInformer {
     if (!started_) return;
     started_ = false;
     step_.Stop();
-    resync_timer_.Cancel();
     backoff_timer_.Cancel();
     if (watch_) {
       watch_->SetSignal(nullptr);  // blocks out in-flight signals
@@ -227,7 +219,6 @@ class SharedInformer {
     // strand can report idle, after which Stop() may return and the owner
     // (and the CpuTimeGroup the token charges) may be destroyed.
     const std::shared_ptr<void> token = opts_.thread_hook ? opts_.thread_hook() : nullptr;
-    if (resync_due_.exchange(false)) Resync();
     std::shared_ptr<apiserver::TypedWatch<T>> watch = watch_;
     if (!watch) {
       // (Re-)establish the watch. `rv_` is the last revision observed via
@@ -261,8 +252,7 @@ class SharedInformer {
       watch->SetSignal([this] { step_.Signal(); });
       watch_ = watch;
     }
-    // Drain a batch; the bound spaces out the strand's stop checks and the
-    // resync check above.
+    // Drain a batch; the bound spaces out the strand's stop checks.
     for (int budget = 0; budget < 64; ++budget) {
       Result<apiserver::WatchEvent<T>> ev = watch->NextShared(Duration::zero());
       if (!ev.ok()) {
@@ -298,27 +288,20 @@ class SharedInformer {
     backoff_timer_ = step_.executor()->RunAfter(kRelistBackoff, [this] { step_.Signal(); });
   }
 
-  // Re-deliver every cached object as a self-update (client-go "resync").
-  void Resync() {
-    for (const Ptr& p : cache_.List()) Dispatch(p, p);
-  }
-
   ListerWatcher<T> lw_;
   Options opts_;
   ObjectCache<T> cache_;
   std::vector<EventHandlers<T>> handlers_;
 
-  // Start/Stop lifecycle; guards started_ and resync_timer_.
+  // Start/Stop lifecycle; guards started_.
   std::mutex sm_mu_;
   bool started_ = false;
-  TimerHandle resync_timer_;
   // Steps own watch_, backoff_timer_ and rv_ (steps never run concurrently);
   // Stop() releases the first two once no step can follow.
   std::shared_ptr<apiserver::TypedWatch<T>> watch_;
   TimerHandle backoff_timer_;
   int64_t rv_ = -1;
 
-  std::atomic<bool> resync_due_{false};
   std::atomic<bool> synced_{false};
   std::atomic<uint64_t> relists_{0};
   std::atomic<uint64_t> resumes_{0};

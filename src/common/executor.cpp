@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/logging.h"
 
 namespace vc {
 
@@ -95,10 +94,7 @@ void Executor::SpawnWorkerLocked() {
 bool Executor::Submit(std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> l(mu_);
-    if (pool_shutdown_) {
-      LOG(WARN) << name_ << ": Submit after Shutdown; task dropped";
-      return false;
-    }
+    if (pool_shutdown_) return false;
     queue_.push_back(std::move(fn));
   }
   work_cv_.notify_one();

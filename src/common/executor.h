@@ -7,8 +7,9 @@
 // keeps the armed timers in a single deadline-ordered map. Thread count stays
 // O(hardware concurrency) regardless of how many tenants are attached.
 //
-// - Submit(fn): run fn on the shared pool. Returns false (and warns) once the
-//   executor is shut down, so lost work during teardown is observable.
+// - Submit(fn): run fn on the shared pool. Returns false once the executor is
+//   shut down; a caller that then drops the work says so (a Strand runs it
+//   inline instead, the reconciler runtime warns).
 // - RunAfter/RunEvery: cancellable timers driven off the injectable Clock.
 //   Every timer due by Now() fires in deadline order (equal deadlines in arm
 //   order), at its exact deadline. With a ManualClock timers fire only when
@@ -93,7 +94,7 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // Enqueue work. Returns false (with a warning) after Shutdown.
+  // Enqueue work. Returns false after Shutdown.
   bool Submit(std::function<void()> fn);
 
   // One-shot timer: run fn on the pool once `delay` has elapsed on the clock.
@@ -214,7 +215,7 @@ class BlockingRegion {
 //   body reports no more work and no signal arrived since the pass began, so
 //   a busy strand holds its worker for as long as work keeps arriving. A body
 //   that drains in bounded batches bounds only the time between its own
-//   checks (stop, resync), not how long the strand holds the worker.
+//   checks (stop), not how long the strand holds the worker.
 // - Flush(): returns once every run signalled before the call has finished.
 // - Stop(): refuses further runs (Signal becomes a no-op and a scheduled run
 //   exits without calling the body), then waits, inside a BlockingRegion,

@@ -84,7 +84,7 @@ enum class Verb : uint8_t {
   kCacheServe = 13,  // fresh read served; revision = observed, arg = target
   // Reconciler runtime (kReconciler). arg = Fnv1a64(reconciler name).
   kDequeue = 14,
-  kReconcile = 15,  // completion; revision = ReconcileResult code
+  kReconcile = 15,  // body returned; revision = 1 on retry, else 0
   // Syncer (kSyncer).
   kDownSync = 16,
   kUpSync = 17,

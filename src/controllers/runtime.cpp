@@ -32,8 +32,7 @@ int ItemBackoff::Failures(const std::string& key) const {
 Reconciler::Reconciler(Options opts, ReconcileFn fn)
     : opts_(std::move(opts)),
       fn_(std::move(fn)),
-      queue_(client::FairQueue::Options{opts_.fair, opts_.default_weight,
-                                        opts_.clock}),
+      queue_(client::FairQueue::Options{opts_.fair, opts_.clock}),
       backoff_(opts_.backoff_base, opts_.backoff_max),
       exec_(Executor::SharedFor(opts_.clock)) {
   if (opts_.workers < 1) opts_.workers = 1;
@@ -53,10 +52,8 @@ Reconciler::Reconciler(Options opts, ReconcileFn fn)
 
 Reconciler::Reconciler(Options opts, SyncFn fn)
     : Reconciler(std::move(opts),
-                 ReconcileFn([f = std::move(fn)](const Item& item,
-                                                 Completion done) {
-                   done(f(item.key) ? ReconcileResult::Done()
-                                    : ReconcileResult::Retry());
+                 ReconcileFn([f = std::move(fn)](const Item& item) {
+                   return f(item.key) ? ReconcileResult::Done() : ReconcileResult::Retry();
                  })) {}
 
 Reconciler::~Reconciler() { Stop(); }
@@ -72,18 +69,21 @@ void Reconciler::Start() {
   Pump();
 }
 
-void Reconciler::StopAsync() {
+void Reconciler::Stop() {
   stopping_.store(true);
   queue_.ShutDown();
-}
-
-bool Reconciler::WaitIdle(Duration timeout) {
-  std::unique_lock<std::mutex> l(pump_mu_);
-  return drain_cv_.wait_for(l, timeout, [this] { return active_ == 0; });
-}
-
-void Reconciler::Stop() {
-  StopAsync();
+  // Held slots finish now. A reconcile still running sees `stopping_` under
+  // hold_mu_ in Hold() and finishes without holding, so one sweep suffices.
+  std::map<uint64_t, Held> holds;
+  {
+    std::lock_guard<std::mutex> l(hold_mu_);
+    holds.swap(holds_);
+  }
+  for (auto& [id, h] : holds) {
+    // Blocks out an in-flight release, which then finds nothing to finish.
+    h.timer.Cancel();
+    Finish(h.item, h.retry, h.due - h.start);
+  }
   {
     // Drain: in-flight reconciles finish (or short-circuit on `stopping_`);
     // queued items are consumed and Done'd without reconciling.
@@ -183,6 +183,7 @@ void Reconciler::Pump() {
     ++active_;
     l.unlock();
     if (!exec_->Submit([this, it = *item] { Process(it); })) {
+      LOG(WARN) << opts_.name << ": executor shut down; dropped " << item->key;
       queue_.Done(*item);
       l.lock();
       --active_;
@@ -195,7 +196,7 @@ void Reconciler::Pump() {
 
 void Reconciler::Process(const Item& item) {
   if (stopping_.load()) {
-    Finish(item, ReconcileResult::Done(), /*ran=*/false, TimePoint{});
+    Finish(item, std::nullopt, Duration::zero());
     return;
   }
   queue_lat_.Record(opts_.clock->Now() - item.enqueue_time);
@@ -208,31 +209,49 @@ void Reconciler::Process(const Item& item) {
   trace::Emit(trace::Component::kReconciler, trace::Verb::kDequeue, trace, 0,
               item.key, Fnv1a64(opts_.name));
   trace::TraceScope scope(trace);
-  fn_(item, [this, item, start, trace](ReconcileResult r) {
-    trace::Emit(trace::Component::kReconciler, trace::Verb::kReconcile, trace,
-                static_cast<int64_t>(r.code), item.key, Fnv1a64(opts_.name));
-    Finish(item, r, /*ran=*/true, start);
-  });
+  const ReconcileResult r = fn_(item);
+  trace::Emit(trace::Component::kReconciler, trace::Verb::kReconcile, trace,
+              r.retry ? 1 : 0, item.key, Fnv1a64(opts_.name));
+  if (r.hold > Duration::zero() && Hold(item, r.retry, start, r.hold)) return;
+  Finish(item, r.retry, opts_.clock->Now() - start);
 }
 
-void Reconciler::Finish(const Item& item, ReconcileResult r, bool ran,
-                        TimePoint start) {
-  if (ran) {
-    reconcile_lat_.Record(opts_.clock->Now() - start);
+bool Reconciler::Hold(const Item& item, bool retry, TimePoint start,
+                      Duration hold) {
+  // hold_mu_ spans RunAfter: the release takes it, so it cannot miss the
+  // entry filed here.
+  std::lock_guard<std::mutex> l(hold_mu_);
+  if (stopping_.load()) return false;
+  const uint64_t id = hold_seq_++;
+  TimerHandle timer = exec_->RunAfter(hold, [this, id] { ReleaseHold(id); });
+  holds_.emplace(id, Held{item, retry, start, opts_.clock->Now() + hold,
+                          std::move(timer)});
+  return true;
+}
+
+void Reconciler::ReleaseHold(uint64_t id) {
+  std::optional<Held> h;
+  {
+    std::lock_guard<std::mutex> l(hold_mu_);
+    auto it = holds_.find(id);
+    if (it == holds_.end()) return;  // Stop finished it
+    h = std::move(it->second);
+    holds_.erase(it);
+  }
+  Finish(h->item, h->retry, opts_.clock->Now() - h->start);
+}
+
+void Reconciler::Finish(const Item& item, std::optional<bool> retry,
+                        Duration latency) {
+  if (retry) {
+    reconcile_lat_.Record(latency);
     reconciles_.fetch_add(1);
     const std::string fk = item.tenant + "|" + item.key;
-    switch (r.code) {
-      case ReconcileResult::Code::kDone:
-        backoff_.Forget(fk);
-        break;
-      case ReconcileResult::Code::kRetry:
-        retries_.fetch_add(1);
-        EnqueueAfter(item.tenant, item.key, backoff_.Next(fk));
-        break;
-      case ReconcileResult::Code::kRequeueAfter:
-        backoff_.Forget(fk);
-        EnqueueAfter(item.tenant, item.key, r.delay);
-        break;
+    if (*retry) {
+      retries_.fetch_add(1);
+      EnqueueAfter(item.tenant, item.key, backoff_.Next(fk));
+    } else {
+      backoff_.Forget(fk);
     }
   }
   queue_.Done(item);
@@ -246,6 +265,7 @@ void Reconciler::Finish(const Item& item, ReconcileResult r, bool ran,
   if (next) {
     l.unlock();
     if (exec_->Submit([this, it = *next] { Process(it); })) return;
+    LOG(WARN) << opts_.name << ": executor shut down; dropped " << next->key;
     queue_.Done(*next);
     l.lock();
   }

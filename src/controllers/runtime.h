@@ -7,19 +7,21 @@
 // shared-FIFO ablation), pumps reconciles onto the clock's shared executor
 // with a bounded in-flight budget, and applies one backoff policy:
 //
-//   ReconcileResult::Done()          → Forget (backoff reset)
-//   ReconcileResult::Retry()         → per-item exponential backoff requeue
-//   ReconcileResult::RequeueAfter(d) → explicit delay, backoff reset
+//   ReconcileResult::Done()  → Forget (backoff reset)
+//   ReconcileResult::Retry() → per-item exponential backoff requeue
 //
 // Delayed requeues dedup against the ready set (promote-or-drop): an Enqueue
 // of a key with a pending delayed add supersedes the delay, and an
 // EnqueueAfter of a key already queued is dropped — a key is never run twice
 // because it sat in both sets.
 //
-// Reconcile functions may complete asynchronously (the syncer finishes items
-// from op-cost charge timers): the runtime hands each reconcile a Completion
-// callback and holds the worker slot until it is invoked. Synchronous loops
-// use the bool-returning convenience form.
+// A reconcile runs synchronously and may return a hold: the modeled service
+// time of the API operations it issued (the syncer's op costs, the
+// scheduler's CostModel). The runtime keeps the item's slot for that long on
+// an executor timer, so a budget of N workers limits throughput exactly as N
+// sleeping threads would, without blocking one; then it runs the usual finish
+// (backoff, metrics, slot handoff). Loops without a modeled cost use the
+// bool-returning convenience form.
 //
 // Every Reconciler registers a uniform metrics block (queue depth,
 // enqueue→dequeue latency, reconcile latency, retries, in-flight) with the
@@ -65,34 +67,28 @@ class ItemBackoff {
   std::map<std::string, int> failures_;
 };
 
+// Outcome of one reconcile: done or retry, and how long the item keeps its
+// slot after the function returned (counted in reconcile_latency).
 struct ReconcileResult {
-  enum class Code { kDone, kRetry, kRequeueAfter };
-  Code code = Code::kDone;
-  Duration delay{};  // only for kRequeueAfter
+  bool retry = false;
+  Duration hold{};
 
-  static ReconcileResult Done() { return {Code::kDone, Duration{}}; }
-  static ReconcileResult Retry() { return {Code::kRetry, Duration{}}; }
-  static ReconcileResult RequeueAfter(Duration d) {
-    return {Code::kRequeueAfter, d};
-  }
+  static ReconcileResult Done(Duration hold = Duration::zero()) { return {false, hold}; }
+  static ReconcileResult Retry(Duration hold = Duration::zero()) { return {true, hold}; }
 };
 
 class Reconciler {
  public:
   using Item = client::FairQueue::Item;
-  // Invoked exactly once per dispatched reconcile — inline or later from
-  // another executor task/timer. The worker slot stays occupied until then.
-  using Completion = std::function<void(ReconcileResult)>;
-  using ReconcileFn = std::function<void(const Item&, Completion)>;
-  // Synchronous convenience: true = done, false = retry with backoff.
+  using ReconcileFn = std::function<ReconcileResult(const Item&)>;
+  // Convenience: true = done, false = retry with backoff; no hold.
   using SyncFn = std::function<bool(const std::string& key)>;
 
   struct Options {
     std::string name = "reconciler";
     Clock* clock = RealClock::Get();
     int workers = 1;  // in-flight budget
-    bool fair = true;          // false = shared FIFO (Fig. 11(b) ablation)
-    int default_weight = 1;    // WRR weight for auto-registered tenants
+    bool fair = true;  // false = shared FIFO (Fig. 11(b) ablation)
     Duration backoff_base = Millis(5);
     Duration backoff_max = Seconds(5);
     // Maps a key to its fairness tenant for the single-arg Enqueue()
@@ -110,16 +106,11 @@ class Reconciler {
   Reconciler& operator=(const Reconciler&) = delete;
 
   void Start();
-  // Stop in one call: StopAsync, drain in-flight work (BlockingRegion), then
-  // sweep delayed-requeue timers. After Stop returns no callback can touch
+  // Refuses new work, finishes every held slot at once (Stop does not wait
+  // out modeled costs), drains in-flight reconciles (BlockingRegion), then
+  // sweeps delayed-requeue timers. After Stop returns no callback can touch
   // `this` again.
   void Stop();
-  // Marks stopping and shuts the queue down without waiting. Owners that must
-  // interleave their own drain work (e.g. the syncer pumping charge timers)
-  // call this, loop on WaitIdle, then call Stop() to finish.
-  void StopAsync();
-  // Waits up to `timeout` for in-flight reconciles to reach zero.
-  bool WaitIdle(Duration timeout);
 
   // WRR registration; re-registering updates the weight live.
   void RegisterTenant(const std::string& tenant, int weight);
@@ -136,16 +127,19 @@ class Reconciler {
   uint64_t retries() const { return retries_.load(); }
   size_t Len() const { return queue_.Len(); }
   int InFlight() const;
-  const client::FairQueue& queue() const { return queue_; }
 
  private:
   // Fills the in-flight budget with executor tasks while items are queued.
   void Pump();
   void Process(const Item& item);
-  // Records the outcome, requeues per policy, releases the item and hands the
-  // slot to the next queued item; the active_ decrement is the last touch of
-  // `this`.
-  void Finish(const Item& item, ReconcileResult r, bool ran, TimePoint start);
+  // Files a held slot under a timer that releases it; false once stopping
+  // (the caller finishes at once).
+  bool Hold(const Item& item, bool retry, TimePoint start, Duration hold);
+  void ReleaseHold(uint64_t id);
+  // Records the outcome of a reconcile that ran (retry, latency), requeues
+  // per policy, releases the item and hands the slot to the next queued item;
+  // the active_ decrement is the last touch of `this`.
+  void Finish(const Item& item, std::optional<bool> retry, Duration latency);
   void OnDelayed(const std::string& tenant, const std::string& key,
                  TimePoint deadline);
 
@@ -155,7 +149,7 @@ class Reconciler {
   ItemBackoff backoff_;
   std::shared_ptr<Executor> exec_;
   Histogram queue_lat_;      // enqueue → dequeue
-  Histogram reconcile_lat_;  // dispatch → completion
+  Histogram reconcile_lat_;  // dispatch → finish, hold included
 
   mutable std::mutex pump_mu_;
   std::condition_variable drain_cv_;
@@ -164,6 +158,18 @@ class Reconciler {
   std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> reconciles_{0};
   std::atomic<uint64_t> retries_{0};
+
+  // Slots held for a modeled cost, by arm order. Stop finishes them early.
+  struct Held {
+    Item item;
+    bool retry;
+    TimePoint start;  // dispatch
+    TimePoint due;    // end of the hold
+    TimerHandle timer;
+  };
+  std::mutex hold_mu_;
+  uint64_t hold_seq_ = 0;
+  std::map<uint64_t, Held> holds_;
 
   // Pending delayed requeues: full key → deadline. An immediate Enqueue or an
   // earlier EnqueueAfter supersedes an entry; its timer still fires and

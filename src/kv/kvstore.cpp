@@ -50,13 +50,28 @@ void WatchChannel::Cancel() {
 }
 
 void WatchChannel::SetSignal(std::function<void()> fn) {
+  // This thread already holds signal_mu_ in Signal() below.
+  if (signalling_.load(std::memory_order_relaxed) == std::this_thread::get_id()) {
+    deferred_ = std::move(fn);
+    return;
+  }
   std::lock_guard<std::mutex> l(signal_mu_);
   signal_ = std::move(fn);
 }
 
 void WatchChannel::Signal() {
+  // A consumer acting on its channel from inside its own signal (Cancel) is
+  // awake already, and this thread holds signal_mu_.
+  if (signalling_.load(std::memory_order_relaxed) == std::this_thread::get_id()) return;
   std::lock_guard<std::mutex> l(signal_mu_);
-  if (signal_) signal_();
+  if (!signal_) return;
+  signalling_.store(std::this_thread::get_id(), std::memory_order_relaxed);
+  signal_();
+  signalling_.store(std::thread::id(), std::memory_order_relaxed);
+  if (deferred_) {
+    signal_ = std::move(*deferred_);
+    deferred_.reset();
+  }
 }
 
 bool WatchChannel::ok() const {

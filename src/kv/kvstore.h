@@ -58,6 +58,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -157,8 +158,10 @@ class WatchChannel {
   // react to: a new event buffered, Cancel, or channel death. Invocations are
   // serialized under an internal mutex; SetSignal(nullptr) blocks out any
   // in-flight invocation, so afterwards the old fn's captures may safely be
-  // destroyed. Push-driven consumers (SharedInformer) use this instead of
-  // blocking in Next().
+  // destroyed. Called from inside fn on the signalling thread (a strand that
+  // runs its body inline), it takes effect when that invocation returns, as
+  // TimerHandle::Cancel does from its own callback. Push-driven consumers
+  // (SharedInformer) use this instead of blocking in Next().
   void SetSignal(std::function<void()> fn);
 
   // Kills the channel with Gone (410) as a broken-watch/compaction signal:
@@ -186,6 +189,10 @@ class WatchChannel {
   // Held while invoking signal_; taken only after mu_ is released.
   std::mutex signal_mu_;
   std::function<void()> signal_;
+  // The thread invoking signal_, and a SetSignal it made meanwhile (applied
+  // under signal_mu_ once the invocation returns).
+  std::atomic<std::thread::id> signalling_{};
+  std::optional<std::function<void()>> deferred_;
 };
 
 struct ListResult {

@@ -41,7 +41,7 @@ Scheduler::Scheduler(Options opts)
             o.backoff_max = kBackoffMax;
             return o;
           }(),
-          [this](const std::string& key) { return ScheduleOne(key); }) {
+          [this](const controllers::Reconciler::Item& item) { return ScheduleOne(item.key); }) {
   pod_informer_ = std::make_unique<client::SharedInformer<api::Pod>>(
       client::ListerWatcher<api::Pod>(opts_.server, "",
                                       apiserver::RequestContext::System("scheduler")));
@@ -126,14 +126,16 @@ void Scheduler::ObservePod(const PodPtr& old_pod, const PodPtr& new_pod) {
   }
 }
 
-bool Scheduler::ScheduleOne(const std::string& key) {
+controllers::ReconcileResult Scheduler::ScheduleOne(const std::string& key) {
+  using controllers::ReconcileResult;
   PodPtr pod = pod_informer_->cache().GetByKey(key);
-  if (!pod || !NeedsScheduling(*pod)) return true;
+  if (!pod || !NeedsScheduling(*pod)) return ReconcileResult::Done();
 
   Stopwatch cycle(opts_.clock);
   std::vector<std::shared_ptr<const api::Node>> nodes = node_informer_->cache().List();
 
-  // Modeled CPU cost of one sequential scheduling cycle (see header).
+  // Modeled CPU cost of one sequential scheduling cycle (see header), held
+  // by the loop after the cycle returns.
   size_t resident;
   {
     std::lock_guard<std::mutex> l(cache_mu_);
@@ -142,7 +144,6 @@ bool Scheduler::ScheduleOne(const std::string& key) {
   Duration cost = opts_.cost.per_pod_base +
                   opts_.cost.per_node_filter * static_cast<int64_t>(nodes.size()) +
                   opts_.cost.per_resident_pod * static_cast<int64_t>(resident);
-  opts_.clock->SleepFor(cost);
 
   const bool full_scan = HasAffinityTerms(*pod);
   const api::Node* best = nullptr;
@@ -179,7 +180,7 @@ bool Scheduler::ScheduleOne(const std::string& key) {
   if (best == nullptr) {
     failed_attempts_.fetch_add(1);
     VLOG(2) << opts_.name << ": pod " << key << " unschedulable: " << last_reason;
-    return false;
+    return ReconcileResult::Retry(cost);
   }
 
   const std::string node_name = best->meta.name;
@@ -202,10 +203,10 @@ bool Scheduler::ScheduleOne(const std::string& key) {
       },
       ctx);
   if (!st.ok()) {
-    if (st.IsNotFound()) return true;  // pod vanished
+    if (st.IsNotFound()) return ReconcileResult::Done(cost);  // pod vanished
     failed_attempts_.fetch_add(1);
     VLOG(1) << opts_.name << ": bind failed for " << key << ": " << st;
-    return false;
+    return ReconcileResult::Retry(cost);
   }
   if (bound) {
     // Assume the bind immediately (like the real scheduler's assume cache)
@@ -213,9 +214,9 @@ bool Scheduler::ScheduleOne(const std::string& key) {
     // echo arrives.
     ObservePod(pod, std::make_shared<const api::Pod>(std::move(*bound)));
     scheduled_.fetch_add(1);
-    bind_latency_.Record(cycle.Elapsed());
+    bind_latency_.Record(cycle.Elapsed() + cost);
   }
-  return true;
+  return ReconcileResult::Done(cost);
 }
 
 }  // namespace vc::scheduler

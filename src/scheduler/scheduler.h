@@ -8,7 +8,8 @@
 // assignments (not a per-cycle rebuild), with a per-node index of residents
 // that carry required anti-affinity terms, so a Pod without affinity terms
 // filters in O(nodes). The occupancy cost that bends the baseline throughput
-// curve of Fig. 9(b) is modeled, not incurred: each cycle sleeps
+// curve of Fig. 9(b) is modeled, not incurred: each cycle holds the one
+// scheduling slot (a Reconciler hold, no sleeping thread) for
 //     base + per_node_filter * #nodes + per_resident_pod * #assigned_pods
 // CostModel defaults are calibrated so a 100-node super cluster peaks at a
 // few hundred binds/s (see EXPERIMENTS.md §Calibration). The bind writes by
@@ -71,9 +72,10 @@ class Scheduler {
     api::ResourceList requested;
   };
 
-  // One scheduling cycle. Returns true on terminal outcome (bound, gone, or
-  // not pending anymore); false → retry with backoff.
-  bool ScheduleOne(const std::string& key);
+  // One scheduling cycle: done on a terminal outcome (bound, gone, or not
+  // pending anymore), retry with backoff otherwise; the hold is the cycle's
+  // modeled cost.
+  controllers::ReconcileResult ScheduleOne(const std::string& key);
 
   // Incremental assignment-cache maintenance, driven by pod informer events.
   void ObservePod(const PodPtr& old_pod, const PodPtr& new_pod);

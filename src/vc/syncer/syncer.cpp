@@ -39,10 +39,7 @@ Syncer::Syncer(Options opts)
         o.backoff_max = Seconds(1);
         return o;
       }(),
-      [this](const client::FairQueue::Item& item,
-             controllers::Reconciler::Completion done) {
-        DownwardReconcile(item, std::move(done));
-      });
+      [this](const client::FairQueue::Item& item) { return DownwardReconcile(item); });
   upward_ = std::make_unique<controllers::Reconciler>(
       [&] {
         controllers::Reconciler::Options o;
@@ -54,10 +51,7 @@ Syncer::Syncer(Options opts)
         o.backoff_max = Seconds(1);
         return o;
       }(),
-      [this](const client::FairQueue::Item& item,
-             controllers::Reconciler::Completion done) {
-        UpwardReconcile(item, std::move(done));
-      });
+      [this](const client::FairQueue::Item& item) { return UpwardReconcile(item); });
 
   // Unfiltered: physical Node objects carry no tenant label.
   super_nodes_ = std::make_unique<InformerOf<api::Node>>(
@@ -280,19 +274,8 @@ void Syncer::Stop() {
   stop_.store(true);
   heartbeat_timer_.Cancel();
   for (const TenantPtr& ts : Snapshot()) ts->scan_timer.Cancel();
-  downward_->StopAsync();
-  upward_->StopAsync();
-  // Pending op-cost charges complete inline (Stop does not wait out modeled
-  // latencies); in-flight reconciles drain to zero. A reconcile still running
-  // may file a new charge after the first sweep, hence the loop.
-  DrainCharges();
-  {
-    BlockingRegion br;
-    while (!downward_->WaitIdle(Millis(5)) || !upward_->WaitIdle(Millis(5))) {
-      DrainCharges();
-    }
-  }
-  DrainCharges();
+  // Each loop finishes its held op costs at once (Stop does not wait out
+  // modeled latencies) and drains its in-flight reconciles.
   downward_->Stop();
   upward_->Stop();
   AllInformers([](AnyInformer& informer) {
@@ -309,104 +292,43 @@ bool Syncer::WaitForSync(Duration timeout) {
   });
 }
 
-// ----------------------------------------------------------- op-cost charges
-
-// Charges the modeled API-operation service time as an executor timer: the
-// reconcile's worker slot stays occupied (throughput is limited exactly as a
-// sleeping worker thread would limit it) but no thread blocks.
-void Syncer::ChargeCost(Duration cost, std::function<void()> finish) {
-  if (stop_.load() || cost <= Duration::zero()) {
-    finish();
-    return;
-  }
-  // Hold charge_mu_ across RunAfter: the fire callback takes charge_mu_, so
-  // it cannot observe the map before this charge is filed.
-  std::lock_guard<std::mutex> l(charge_mu_);
-  const uint64_t id = charge_seq_++;
-  TimerHandle h = exec_->RunAfter(cost, [this, id] { FinishCharge(id); });
-  charges_.emplace(id, Charge{std::move(h), std::move(finish)});
-}
-
-void Syncer::FinishCharge(uint64_t id) {
-  std::function<void()> fin;
-  {
-    std::lock_guard<std::mutex> l(charge_mu_);
-    auto it = charges_.find(id);
-    if (it == charges_.end()) return;
-    fin = std::move(it->second.finish);
-    charges_.erase(it);
-  }
-  fin();
-}
-
-void Syncer::DrainCharges() {
-  for (;;) {
-    uint64_t id;
-    TimerHandle h;
-    {
-      std::lock_guard<std::mutex> l(charge_mu_);
-      if (charges_.empty()) return;
-      id = charges_.begin()->first;
-      h = charges_.begin()->second.handle;
-    }
-    // Cancel outside charge_mu_ (an in-flight fire holds the timer run state
-    // and takes charge_mu_); whoever still finds the entry runs the finish.
-    h.Cancel();
-    FinishCharge(id);
-  }
-}
-
 // ------------------------------------------------------------ downward path
 
-void Syncer::DownwardReconcile(const client::FairQueue::Item& item,
-                               controllers::Reconciler::Completion done) {
+controllers::ReconcileResult Syncer::DownwardReconcile(const client::FairQueue::Item& item) {
+  using controllers::ReconcileResult;
   // Inherits the reconcile attempt's ambient trace id (Reconciler::Process
   // opened the scope), so super-cluster writes below join the same trace.
   trace::Emit(trace::Component::kSyncer, trace::Verb::kDownSync,
               trace::CurrentTraceId(), 0, item.key);
-  Duration cost{};
-  bool ok;
-  {
-    // Scoped: the CPU accounting guard must not outlive the completion —
-    // once the runtime's in-flight count hits zero Stop() can return and
-    // destroy us.
-    CpuTimeGroup::Member cpu_member(&cpu_);
-    ok = DispatchDownward(item, opts_.clock->Now(), &cost);
-  }
-  // The runtime's backoff handles the retry requeue; completing from the
-  // charge timer keeps the worker slot occupied for the modeled op latency.
-  ChargeCost(cost, [ok, done = std::move(done)] {
-    done(ok ? controllers::ReconcileResult::Done()
-            : controllers::ReconcileResult::Retry());
-  });
-}
-
-bool Syncer::DispatchDownward(const client::FairQueue::Item& item, TimePoint dequeue,
-                              Duration* cost) {
+  CpuTimeGroup::Member cpu_member(&cpu_);
+  const TimePoint dequeue = opts_.clock->Now();
   TenantPtr ts = GetTenant(item.tenant);
-  if (!ts) return true;  // tenant detached; drop
+  if (!ts) return ReconcileResult::Done();  // tenant detached; drop
   auto [kind, key] = SplitKind(item.key);
 
   DownResult r = DownResult::kNoop;
+  Duration cost{};
   Stopwatch process(opts_.clock);
   if (auto unit = kind_by_name_.find(kind); unit != kind_by_name_.end()) {
-    r = unit->second->SyncDown(*ts, key, cost);
+    r = unit->second->SyncDown(*ts, key, &cost);
   }
   if (r == DownResult::kCreated && kind == api::Pod::kKind) {
     // Phase metrics are recorded for the Pod creation path only (Fig. 8). The
-    // process phase includes the modeled op cost (charged after return).
+    // process phase includes the modeled op cost (held after return).
     metrics_.dws_queue.Record(dequeue - item.enqueue_time);
-    metrics_.dws_process.Record(process.Elapsed() + *cost);
+    metrics_.dws_process.Record(process.Elapsed() + cost);
   }
 
+  // The runtime's backoff handles the retry requeue, and its hold keeps the
+  // worker slot occupied for the modeled op latency.
   switch (r) {
     case DownResult::kCreated: metrics_.downward_creates.fetch_add(1); break;
     case DownResult::kUpdated: metrics_.downward_updates.fetch_add(1); break;
     case DownResult::kDeleted: metrics_.downward_deletes.fetch_add(1); break;
     case DownResult::kNoop: metrics_.downward_noops.fetch_add(1); break;
-    case DownResult::kRetry: return false;
+    case DownResult::kRetry: return ReconcileResult::Retry(cost);
   }
-  return true;
+  return ReconcileResult::Done(cost);
 }
 
 Status Syncer::EnsureSuperNamespace(TenantState& ts, const std::string& tenant_ns) {
@@ -425,37 +347,30 @@ Status Syncer::EnsureSuperNamespace(TenantState& ts, const std::string& tenant_n
 
 // -------------------------------------------------------------- upward path
 
-void Syncer::UpwardReconcile(const client::FairQueue::Item& item,
-                             controllers::Reconciler::Completion done) {
+controllers::ReconcileResult Syncer::UpwardReconcile(const client::FairQueue::Item& item) {
   trace::Emit(trace::Component::kSyncer, trace::Verb::kUpSync,
               trace::CurrentTraceId(), 0, item.key);
+  CpuTimeGroup::Member cpu_member(&cpu_);
   const TimePoint dequeue = opts_.clock->Now();
   UpOutcome out;
-  {
-    // Scoped: must not outlive the completion (see DownwardReconcile).
-    CpuTimeGroup::Member cpu_member(&cpu_);
-    auto [kind, key] = SplitKind(item.key);
-    if (kind == api::Pod::kKind) {
-      out = SyncUpPod(key);
-    } else if (kind == "PodGone") {
-      ProcessPodGone(key);
-    } else if (auto unit = kind_by_name_.find(kind); unit != kind_by_name_.end()) {
-      out = unit->second->SyncUp(key);
+  auto [kind, key] = SplitKind(item.key);
+  if (kind == api::Pod::kKind) {
+    out = SyncUpPod(key);
+  } else if (kind == "PodGone") {
+    ProcessPodGone(key);
+  } else if (auto unit = kind_by_name_.find(kind); unit != kind_by_name_.end()) {
+    out = unit->second->SyncUp(key);
+  }
+  if (out.wrote) {
+    metrics_.upward_updates.fetch_add(1);
+    if (out.became_ready) {
+      metrics_.uws_queue.Record(dequeue - item.enqueue_time);
+      // Like DWS-Process: process time plus the modeled op cost held below.
+      metrics_.uws_process.Record(opts_.clock->Now() - dequeue + out.cost);
     }
   }
-  // Completion metrics are recorded when the charge fires, matching the old
-  // post-sleep timing; the runtime's slot stays held until `done` runs.
-  ChargeCost(out.cost, [this, item, out, dequeue, done = std::move(done)] {
-    if (out.wrote) {
-      metrics_.upward_updates.fetch_add(1);
-      if (out.became_ready) {
-        metrics_.uws_queue.Record(dequeue - item.enqueue_time);
-        metrics_.uws_process.Record(opts_.clock->Now() - dequeue);
-      }
-    }
-    done(out.done ? controllers::ReconcileResult::Done()
-                  : controllers::ReconcileResult::Retry());
-  });
+  return out.done ? controllers::ReconcileResult::Done(out.cost)
+                  : controllers::ReconcileResult::Retry(out.cost);
 }
 
 Syncer::UpOutcome Syncer::SyncUpPod(const std::string& super_key) {
@@ -540,32 +455,52 @@ Status Syncer::EnsureVNode(TenantState& ts, const std::string& node) {
   vn.status.kubelet_endpoint = address + ":" + std::to_string(opts_.vnagent_port);
   Result<api::Node> created =
       ts.tcp->server().Create(vn, apiserver::RequestContext::System("syncer"));
+  if (created.ok()) vnodes_.SetWritten(ts.map.tenant_id, node, std::move(*created));
   if (created.ok() || created.status().IsAlreadyExists()) return OkStatus();
   return created.status();
 }
 
 // --------------------------------------------------------------- heartbeat
 
+// Writes each vNode by CAS on the copy the syncer last wrote (VNodeManager::
+// Written), so an unchanged vNode costs nothing and a changed one no Get: a
+// Get happens only after a Conflict, or when no copy is known (the create
+// found the vNode existing, or the last write failed). A Get would also build
+// a Node watch cache on the tenant apiserver that wakes on every commit.
 void Syncer::BroadcastHeartbeatsOnce() {
   const apiserver::RequestContext ctx =
       apiserver::RequestContext::System("syncer-heartbeat");
   for (const TenantPtr& ts : Snapshot()) {
-    for (const std::string& node : vnodes_.NodesOf(ts->map.tenant_id)) {
+    const std::string& tenant = ts->map.tenant_id;
+    apiserver::APIServer& server = ts->tcp->server();
+    for (const std::string& node : vnodes_.NodesOf(tenant)) {
       auto snode = super_nodes_->inf.cache().GetByKey(node);
       if (!snode) continue;
+      auto current = [&](const api::Node& vn) {
+        return vn.status.last_heartbeat_ms == snode->status.last_heartbeat_ms &&
+               vn.status.conditions == snode->status.conditions;
+      };
+      std::optional<api::Node> last = vnodes_.Written(tenant, node);
+      if (last && current(*last)) continue;
+      if (!last) {
+        Result<api::Node> live = server.Get<api::Node>("", node, ctx);
+        if (!live.ok()) continue;
+        last = std::move(*live);
+      }
       const std::string endpoint =
           snode->status.address + ":" + std::to_string(opts_.vnagent_port);
-      (void)apiserver::RetryUpdate<api::Node>(
-          ts->tcp->server(), "", node, [&](api::Node& vn) {
-            if (vn.status.last_heartbeat_ms == snode->status.last_heartbeat_ms &&
-                vn.status.conditions == snode->status.conditions) {
-              return false;
-            }
+      api::Node written;
+      Status st = apiserver::UpdateFrom(
+          server, *last,
+          [&](api::Node& vn) {
+            if (current(vn)) return false;
             vn.status = snode->status;
             vn.status.kubelet_endpoint = endpoint;
             return true;
           },
-          ctx);
+          ctx, &written);
+      vnodes_.SetWritten(tenant, node,
+                         st.ok() ? std::optional<api::Node>(std::move(written)) : std::nullopt);
     }
   }
 }

@@ -23,7 +23,7 @@
 // Everything that depends on the object type lives in one unit per kind
 // (KindOf<T>), registered through SyncKind<T>(): the built-in kinds above and
 // any custom resource (paper §V, "adding CRD support in the syncer") share the
-// same loops, budgets, backoff, op-cost timers and trace records.
+// same loops, budgets, backoff, op-cost holds and trace records.
 //
 // Why centralized (one syncer for many tenants) instead of per-tenant: the
 // paper's §III-C argument — infrequent tenant mutations make per-tenant
@@ -86,8 +86,8 @@ class Syncer {
     // Concurrency budgets (max in-flight reconciles on the shared executor);
     // paper defaults (§IV-A): "we set a high default number of one hundred
     // upward worker threads and a low default number of twenty downward
-    // worker threads". The modeled op costs below are charged as timers, not
-    // sleeps, so a budget of 100 does not pin 100 threads.
+    // worker threads". The modeled op costs below hold a reconcile's slot
+    // on a runtime timer, not a sleep, so a budget of 100 pins no threads.
     int downward_workers = 20;
     int upward_workers = 100;
     // Fair queuing across tenant sub-queues; false = shared FIFO (Fig. 11b).
@@ -153,7 +153,6 @@ class Syncer {
   size_t InformerCacheObjects() const;
   size_t QueuedKeyBytes() const;
   size_t DownwardQueueLen() const { return downward_->Len(); }
-  size_t UpwardQueueLen() const { return upward_->Len(); }
   // CPU time consumed by all syncer threads (workers, reconcilers, informers,
   // scanners) — the Fig. 10 "accumulated process CPU time" measure.
   Duration WorkerCpuTime() const { return cpu_.Total(); }
@@ -211,20 +210,13 @@ class Syncer {
     std::string node;
   };
 
-  // Result of one upward reconcile; the modeled op cost is charged as an
-  // executor timer by the caller before completion metrics are recorded.
+  // Result of one upward reconcile; `cost` is the modeled op cost the
+  // reconcile holds its slot for.
   struct UpOutcome {
     bool done = true;
     Duration cost{};
     bool wrote = false;
     bool became_ready = false;
-  };
-
-  // A modeled-op-cost charge in flight: when the timer fires (or Stop drains
-  // it), `finish` completes the reconcile (metrics, Done, slot release).
-  struct Charge {
-    TimerHandle handle;
-    std::function<void()> finish;
   };
 
   // One synchronized kind: its tenant-scoped super informer, the informer it
@@ -250,20 +242,11 @@ class Syncer {
   bool AllInformers(const std::function<bool(AnyInformer&)>& fn) const;
   void StartTenant(const TenantPtr& ts);
 
-  // Reconcile entry points hosted on the shared runtime. Each charges its
-  // modeled op cost as an executor timer and completes the reconcile (via the
-  // runtime's Completion) when the charge fires — the worker slot stays
+  // Reconcile entry points hosted on the shared runtime. Each returns its
+  // modeled op cost as the hold, so the runtime keeps the worker slot
   // occupied exactly as long as a sleeping worker thread would hold it.
-  void DownwardReconcile(const client::FairQueue::Item& item,
-                         controllers::Reconciler::Completion done);
-  void UpwardReconcile(const client::FairQueue::Item& item,
-                       controllers::Reconciler::Completion done);
-  void ChargeCost(Duration cost, std::function<void()> finish);
-  void FinishCharge(uint64_t id);
-  void DrainCharges();
-
-  bool DispatchDownward(const client::FairQueue::Item& item, TimePoint dequeue_time,
-                        Duration* cost);
+  controllers::ReconcileResult DownwardReconcile(const client::FairQueue::Item& item);
+  controllers::ReconcileResult UpwardReconcile(const client::FairQueue::Item& item);
 
   UpOutcome SyncUpPod(const std::string& super_key);
   // Applies `change` to the tenant object mirrored by a shadow from `origin`,
@@ -317,10 +300,6 @@ class Syncer {
   std::map<std::string, GoneInfo> pending_gone_;
 
   TimerHandle heartbeat_timer_;
-
-  std::mutex charge_mu_;
-  uint64_t charge_seq_ = 0;
-  std::map<uint64_t, Charge> charges_;
 
   std::atomic<bool> stop_{true};
   std::atomic<bool> started_{false};

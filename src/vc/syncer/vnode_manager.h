@@ -10,9 +10,12 @@
 
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
+
+#include "api/types.h"
 
 namespace vc::core {
 
@@ -43,10 +46,23 @@ class VNodeManager {
 
   void ForgetTenant(const std::string& tenant);
 
+  // The vNode object as the syncer last wrote it, so a heartbeat broadcast
+  // can skip an unchanged vNode and write a changed one without a Get.
+  // Dropped with the binding (Unbind to empty, ForgetTenant).
+  std::optional<api::Node> Written(const std::string& tenant, const std::string& node) const;
+  // Records `vn` for a bound vNode (no-op otherwise); nullopt forgets it.
+  void SetWritten(const std::string& tenant, const std::string& node,
+                  std::optional<api::Node> vn);
+
  private:
+  struct VNode {
+    std::set<std::string> pods;  // bound tenant pod keys
+    std::optional<api::Node> written;
+  };
+
   mutable std::mutex mu_;
-  // tenant -> node -> bound tenant pod keys
-  std::map<std::string, std::map<std::string, std::set<std::string>>> bindings_;
+  // tenant -> node -> vNode
+  std::map<std::string, std::map<std::string, VNode>> bindings_;
 };
 
 }  // namespace vc::core

@@ -168,20 +168,6 @@ TEST(InformerTest, MultipleHandlersAllInvoked) {
   inf.Stop();
 }
 
-TEST(InformerTest, ResyncRedeliversCachedObjects) {
-  APIServer server({});
-  server.Create(SimplePod("default", "x"));
-  Counters c;
-  SharedInformer<Pod>::Options opts;
-  opts.resync_period = Millis(50);
-  SharedInformer<Pod> inf(ListerWatcher<Pod>(&server), opts);
-  inf.AddHandlers(CountingHandlers(c));
-  inf.Start();
-  ASSERT_TRUE(inf.WaitForSync(Seconds(3)));
-  WaitUntil([&] { return c.updates.load() >= 2; });  // periodic self-updates
-  inf.Stop();
-}
-
 TEST(InformerTest, StopIsIdempotentAndJoins) {
   APIServer server({});
   SharedInformer<Pod> inf{ListerWatcher<Pod>(&server)};

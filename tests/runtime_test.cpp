@@ -1,5 +1,5 @@
 // Tests for the shared reconciler runtime (controllers/runtime.h): per-item
-// backoff, the backoff policy, async completions, promote-or-drop dedup
+// backoff, the backoff policy, held slots, promote-or-drop dedup
 // between the delayed and ready sets, drain-on-stop with in-flight retries,
 // and the uniform metrics block. Runs under tsan via the `concurrency` ctest
 // label.
@@ -7,7 +7,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -85,59 +85,71 @@ TEST(ReconcilerTest, RetryBacksOffUntilSuccess) {
   EXPECT_GE(r.reconciles(), 3u);
 }
 
-TEST(ReconcilerTest, RequeueAfterRunsAgainWithoutRetryCount) {
+// A hold keeps the item's slot on the runtime's clock: with one worker the
+// second key is dispatched only once the first key's hold has passed, and
+// reconcile_latency counts the hold.
+TEST(ReconcilerTest, HoldKeepsSlotUntilClockPassesIt) {
+  ManualClock clock;
+  MetricsRegistry reg;
   std::atomic<int> runs{0};
-  Reconciler r(Opts("requeue"),
-               [&](const Reconciler::Item&, Reconciler::Completion done) {
-                 done(runs.fetch_add(1) == 0
-                          ? ReconcileResult::RequeueAfter(Millis(5))
-                          : ReconcileResult::Done());
-               });
-  r.Start();
-  r.Enqueue("t", "k");
-  EXPECT_TRUE(WaitFor([&] { return runs.load() >= 2; }));
-  r.Stop();
-  EXPECT_EQ(runs.load(), 2);
-  EXPECT_EQ(r.retries(), 0u);  // explicit requeue is not a retry
-}
-
-// An asynchronous completion (invoked from another thread after the reconcile
-// function returned) holds the worker slot until it fires.
-TEST(ReconcilerTest, AsyncCompletionHoldsSlot) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Reconciler::Completion> pending;
-  Reconciler r(Opts("async", 1),
-               [&](const Reconciler::Item&, Reconciler::Completion done) {
-                 std::lock_guard<std::mutex> l(mu);
-                 pending.push_back(std::move(done));
-                 cv.notify_all();
-               });
+  Reconciler::Options o = Opts("hold", 1);
+  o.clock = &clock;
+  o.registry = &reg;
+  Reconciler r(std::move(o), [&](const Reconciler::Item&) {
+    runs.fetch_add(1);
+    return ReconcileResult::Done(Millis(10));
+  });
   r.Start();
   r.Enqueue("t", "a");
   r.Enqueue("t", "b");
-  {
-    std::unique_lock<std::mutex> l(mu);
-    cv.wait(l, [&] { return pending.size() == 1; });
-  }
-  // One worker, completion not yet invoked: "b" must still be queued.
+  ASSERT_TRUE(WaitFor([&] { return runs.load() >= 1; }));
+  Settle(&clock);
+  // One worker, "a" still holding: "b" must still be queued.
+  EXPECT_EQ(runs.load(), 1);
   EXPECT_EQ(r.Len(), 1u);
   EXPECT_EQ(r.InFlight(), 1);
-  {
-    std::lock_guard<std::mutex> l(mu);
-    pending.front()(ReconcileResult::Done());
-    pending.clear();
-  }
+  EXPECT_EQ(r.reconciles(), 0u);
+  AdvanceAndSettle(&clock, Millis(9));  // short of the hold
+  EXPECT_EQ(runs.load(), 1);
+  AdvanceAndSettle(&clock, Millis(1));  // "a" releases its slot to "b"
+  EXPECT_EQ(runs.load(), 2);
   EXPECT_EQ(r.reconciles(), 1u);
-  // Releasing "a"'s slot lets "b" dispatch; complete it too.
-  {
-    std::unique_lock<std::mutex> l(mu);
-    cv.wait(l, [&] { return pending.size() == 1; });
-    pending.front()(ReconcileResult::Done());
-    pending.clear();
-  }
-  EXPECT_TRUE(WaitFor([&] { return r.reconciles() >= 2; }));
+  AdvanceAndSettle(&clock, Millis(10));
+  EXPECT_EQ(r.reconciles(), 2u);
+  EXPECT_EQ(r.InFlight(), 0);
+  std::map<std::string, double> m = reg.Collect();
+  EXPECT_EQ(m["hold.reconcile_latency_count"], 2.0);
+  EXPECT_GE(m["hold.reconcile_latency_p50_s"], 0.010);
   r.Stop();
+}
+
+// Stop does not wait out a pending hold: it finishes the held reconcile at
+// once, counts it, and drops the retry it asked for.
+TEST(ReconcilerTest, StopFinishesPendingHoldWithoutAdvancing) {
+  ManualClock clock;
+  std::atomic<int> runs{0};
+  Reconciler::Options o = Opts("hold-stop", 2);
+  o.clock = &clock;
+  Reconciler r(std::move(o), [&](const Reconciler::Item& item) {
+    runs.fetch_add(1);
+    return item.key == "a" ? ReconcileResult::Done(Seconds(3600))
+                           : ReconcileResult::Retry(Seconds(3600));
+  });
+  r.Start();
+  r.Enqueue("t", "a");
+  r.Enqueue("t", "b");
+  ASSERT_TRUE(WaitFor([&] { return runs.load() >= 2; }));
+  Settle(&clock);
+  EXPECT_EQ(r.InFlight(), 2);
+  const TimePoint before = clock.Now();
+  r.Stop();
+  EXPECT_EQ(clock.Now(), before);
+  EXPECT_EQ(r.reconciles(), 2u);
+  EXPECT_EQ(r.retries(), 1u);
+  EXPECT_EQ(r.InFlight(), 0);
+  EXPECT_EQ(r.Len(), 0u);
+  AdvanceAndSettle(&clock, Seconds(7200));  // the cancelled holds stay silent
+  EXPECT_EQ(runs.load(), 2);
 }
 
 // The delayed-add contract the scheduler and kubelets used to get from a
@@ -332,14 +344,11 @@ TEST(ReconcilerTest, KeyTenantMapsSingleArgEnqueue) {
   Reconciler::Options o = Opts("keyed", 1);
   o.key_tenant = NamespacedKeyTenant(
       [](const std::string& ns) { return "tenant-of-" + ns; });
-  Reconciler r(std::move(o),
-               [&](const Reconciler::Item& item, Reconciler::Completion done) {
-                 {
-                   std::lock_guard<std::mutex> l(mu);
-                   tenants.push_back(item.tenant);
-                 }
-                 done(ReconcileResult::Done());
-               });
+  Reconciler r(std::move(o), [&](const Reconciler::Item& item) {
+    std::lock_guard<std::mutex> l(mu);
+    tenants.push_back(item.tenant);
+    return ReconcileResult::Done();
+  });
   r.Start();
   r.Enqueue("ns1/pod-a");
   EXPECT_TRUE(WaitFor([&] { return r.reconciles() >= 1; }));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "common/trace.h"
 #include "manual_time.h"
 #include "scheduler/scheduler.h"
 
@@ -433,36 +435,25 @@ TEST(SchedulerTest, ResidentStopsRepellingWhenTermsRemovedDeletedOrTerminal) {
   });
 }
 
-// Real time, except that a scheduling cycle's modeled-cost sleep (kCycle)
-// waits until the test opens the gate. Each cycle reads its informer copy of
-// the Pod before that sleep and binds after it, so a test can change the Pod
-// in between.
+CostModel ZeroCost() { return CostModel{Duration::zero(), Duration::zero(), Duration::zero()}; }
+
+// Real time, except that reading the wall clock waits until the test opens
+// the gate. The scheduler reads it only inside the bind, to stamp the
+// PodScheduled condition on the informer copy it read at the start of the
+// cycle, so a test can change the Pod between that read and the bind's CAS.
 class CycleGate final : public Clock {
  public:
-  static constexpr Duration kCycle = Seconds(1);
-
-  static CostModel Cost() {
-    CostModel c;
-    c.per_pod_base = kCycle;
-    c.per_node_filter = Duration::zero();
-    c.per_resident_pod = Duration::zero();
-    return c;
-  }
-
   TimePoint Now() const override { return RealClock::Get()->Now(); }
-  int64_t WallUnixMillis() const override { return RealClock::Get()->WallUnixMillis(); }
+  void SleepFor(Duration d) override { RealClock::Get()->SleepFor(d); }
 
-  void SleepFor(Duration d) override {
-    if (d != kCycle) {
-      RealClock::Get()->SleepFor(d);
-      return;
-    }
+  int64_t WallUnixMillis() const override {
     BlockingRegion br;
     std::unique_lock<std::mutex> l(mu_);
     ++entered_;
     cv_.notify_all();
     // Bounded, so a failed test still lets the scheduler stop.
     cv_.wait_for(l, Seconds(10), [this] { return open_; });
+    return RealClock::Get()->WallUnixMillis();
   }
 
   // Blocks until a cycle is waiting at the gate.
@@ -479,15 +470,15 @@ class CycleGate final : public Clock {
   }
 
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int entered_ = 0;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int entered_ = 0;
   bool open_ = false;
 };
 
 TEST(SchedulerTest, BindFromStaleInformerCopyDoesNotDoubleBind) {
   CycleGate gate;
-  SchedulerHarness h(2, CycleGate::Cost(), &gate);
+  SchedulerHarness h(2, ZeroCost(), &gate);
   ASSERT_TRUE(h.server.Create(MakePod("contested")).ok());
   // The scheduler holds its pending informer copy at the gate; another writer
   // binds the pod meanwhile, so the bind's CAS conflicts.
@@ -514,7 +505,7 @@ TEST(SchedulerTest, BindFromStaleInformerCopyDoesNotDoubleBind) {
 
 TEST(SchedulerTest, BindAfterTermsRemovedDoesNotAssumeStaleTerms) {
   CycleGate gate;
-  SchedulerHarness h(1, CycleGate::Cost(), &gate);
+  SchedulerHarness h(1, ZeroCost(), &gate);
   Pod shy = WebRepeller("shy", "");
   ASSERT_TRUE(h.server.Create(shy).ok());
   // The scheduler holds its informer copy, with terms, at the gate; the terms
@@ -537,61 +528,56 @@ TEST(SchedulerTest, BindAfterTermsRemovedDoesNotAssumeStaleTerms) {
   EXPECT_TRUE(web.ok()) << web.status();
 }
 
-// Manual time that counts scheduling cycles: each cycle sleeps its modeled
-// cost exactly once, so SleepFor calls are attempts, and retry delays elapse
-// only when the test advances the clock.
-class CycleCountingClock final : public Clock {
+// Scheduling cycles started since construction, counted from the reconciler
+// runtime's dequeue records (tests run traced), so the count outlives the
+// scheduler.
+class CycleCount {
  public:
-  TimePoint Now() const override { return time_.Now(); }
-  int64_t WallUnixMillis() const override { return time_.WallUnixMillis(); }
-  void SleepFor(Duration d) override {
-    cycles_.fetch_add(1);
-    time_.SleepFor(d);
-  }
-  bool TicksManually() const override { return true; }
-  size_t AddTickListener(std::function<void()> fn) override {
-    return time_.AddTickListener(std::move(fn));
-  }
-  void RemoveTickListener(size_t id) override { time_.RemoveTickListener(id); }
+  CycleCount() { trace::Reset(); }
 
-  void Advance(Duration d) { time_.Advance(d); }
-  int cycles() const { return cycles_.load(); }
+  int operator()() {
+    for (const trace::TraceRecord& r : trace::Drain().records) {
+      if (r.component == trace::Component::kReconciler && r.verb == trace::Verb::kDequeue &&
+          r.arg == Fnv1a64("scheduler")) {
+        ++n_;
+      }
+    }
+    return n_;
+  }
 
   // Waits for the n-th cycle to start, then for it and whatever it armed to
   // finish.
-  bool WaitCycles(int n) {
-    for (int i = 0; i < 2500 && cycles() < n; ++i) RealClock::Get()->SleepFor(Millis(2));
-    Settle(this);
-    return cycles() == n;
+  bool Wait(Clock* clock, int n) {
+    for (int i = 0; i < 2500 && (*this)() < n; ++i) RealClock::Get()->SleepFor(Millis(2));
+    Settle(clock);
+    return (*this)() == n;
   }
 
  private:
-  ManualClock time_;
-  std::atomic<int> cycles_{0};
+  int n_ = 0;
 };
-
-CostModel ZeroCost() { return CostModel{Duration::zero(), Duration::zero(), Duration::zero()}; }
 
 // A Pod that is backing off after an unschedulable cycle and then gets an
 // informer event runs once for the event; the delay armed by the first cycle
 // must not run it a second time when it fires.
 TEST(SchedulerTest, EventDuringBackoffRunsOneAttempt) {
-  CycleCountingClock clock;
+  ManualClock clock;
+  CycleCount cycles;
   SchedulerHarness h(1, ZeroCost(), &clock);
   ASSERT_TRUE(h.server.Create(MakePod("big", 9000)).ok());  // the node has 8000m
-  ASSERT_TRUE(clock.WaitCycles(1));  // unschedulable; retry due at +10 ms
+  ASSERT_TRUE(cycles.Wait(&clock, 1));  // unschedulable; retry due at +10 ms
 
   ASSERT_TRUE(apiserver::RetryUpdate<Pod>(h.server, "default", "big", [](Pod& p) {
                 p.meta.labels["touched"] = "1";
                 return true;
               }).ok());
-  ASSERT_TRUE(clock.WaitCycles(2));  // the event's attempt; next retry at +20 ms
+  ASSERT_TRUE(cycles.Wait(&clock, 2));  // the event's attempt; next retry at +20 ms
 
   AdvanceAndSettle(&clock, Millis(15));  // past the first cycle's delay only
-  EXPECT_EQ(clock.cycles(), 2) << "the superseded delay ran the Pod again";
+  EXPECT_EQ(cycles(), 2) << "the superseded delay ran the Pod again";
 
   AdvanceAndSettle(&clock, Millis(10));  // past the second cycle's delay
-  EXPECT_EQ(clock.cycles(), 3);
+  EXPECT_EQ(cycles(), 3);
   EXPECT_EQ(h.sched->failed_attempts(), 3u);
 }
 
@@ -599,20 +585,21 @@ TEST(SchedulerTest, EventDuringBackoffRunsOneAttempt) {
 // it, and the delay an informer event superseded too: nothing runs after
 // destruction (ASan/TSan via the concurrency label).
 TEST(SchedulerTest, DestroyWithRetryArmedRunsNothingAfter) {
-  CycleCountingClock clock;
+  ManualClock clock;
+  CycleCount cycles;
   // Held past the scheduler, so its timers could still fire into it.
   std::shared_ptr<Executor> exec = Executor::SharedFor(&clock);
   SchedulerHarness h(1, ZeroCost(), &clock);
   ASSERT_TRUE(h.server.Create(MakePod("big", 9000)).ok());
-  ASSERT_TRUE(clock.WaitCycles(1));  // retry due at +10 ms
+  ASSERT_TRUE(cycles.Wait(&clock, 1));  // retry due at +10 ms
   ASSERT_TRUE(apiserver::RetryUpdate<Pod>(h.server, "default", "big", [](Pod& p) {
                 p.meta.labels["touched"] = "1";
                 return true;
               }).ok());
-  ASSERT_TRUE(clock.WaitCycles(2));  // the +10 ms delay is superseded; retry at +20 ms
+  ASSERT_TRUE(cycles.Wait(&clock, 2));  // the +10 ms delay is superseded; retry at +20 ms
   h.sched.reset();
   AdvanceAndSettle(&clock, Millis(50));  // past both delays
-  EXPECT_EQ(clock.cycles(), 2);
+  EXPECT_EQ(cycles(), 2);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apiserver/apiserver.h"
+#include "apiserver/watch_cache.h"
 #include "common/executor.h"
 #include "common/trace_check.h"
 #include "kv/kvstore.h"
@@ -303,6 +304,26 @@ TEST(StorageConcurrencyTest, CurrentRevisionCoversLockFreeGets) {
   trace::CheckOptions copts;
   copts.single_store = true;
   ExpectCertified(copts);
+}
+
+// A watch cache over a store whose executor is shut down runs its apply
+// strand inline on the signalling thread. When BreakWatches kills the cache's
+// channel, the inline body drops that channel's signal from inside the signal
+// itself; the drop must take effect once the signal returns instead of
+// deadlocking on the channel's signal mutex.
+TEST(StorageConcurrencyTest, BreakWatchesWithInlineStrandReturns) {
+  auto exec = std::make_shared<Executor>();
+  KvStore::Options o;
+  o.executor = exec;
+  KvStore store(o);
+  exec->Shutdown();
+  apiserver::WatchCache<Pod> cache(&store, "/registry/Pod/",
+                                   std::make_shared<apiserver::DecodeCache>(), exec);
+  ASSERT_TRUE(cache.healthy());
+  store.BreakWatches();
+  // Rebuilt inline from a fresh snapshot on the breaking thread.
+  EXPECT_EQ(cache.rebuilds(), 2u);
+  EXPECT_TRUE(cache.healthy());
 }
 
 // The apiserver watch cache is maintained asynchronously from the store's own

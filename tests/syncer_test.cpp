@@ -3,6 +3,8 @@
 // behaviour, and the periodic scan.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/executor.h"
 #include "own_pool_tenant.h"
 #include "vc/deployment.h"
@@ -206,6 +208,32 @@ TEST(VNodeManagerTest, TenantsAreIndependent) {
   vm.ForgetTenant("t1");
   EXPECT_FALSE(vm.HasVNode("t1", "node-1"));
   EXPECT_TRUE(vm.HasVNode("t2", "node-1"));
+}
+
+// The last-written vNode copy lives only as long as the binding: SetWritten
+// on an unbound vNode records nothing, and Unbind to empty or ForgetTenant
+// drops the copy, so the heartbeat state stays bounded by the bound vNodes.
+TEST(VNodeManagerTest, WrittenCopyLivesWithTheBinding) {
+  VNodeManager vm;
+  api::Node vn;
+  vn.meta.name = "node-1";
+  vm.SetWritten("t1", "node-1", vn);
+  EXPECT_FALSE(vm.Written("t1", "node-1").has_value());  // not bound
+  vm.Bind("t1", "node-1", "a/p");
+  vm.Bind("t2", "node-1", "a/p");
+  vm.SetWritten("t1", "node-1", vn);
+  vm.SetWritten("t2", "node-1", vn);
+  ASSERT_TRUE(vm.Written("t1", "node-1").has_value());
+  EXPECT_EQ(vm.Written("t1", "node-1")->meta.name, "node-1");
+  vm.SetWritten("t1", "node-1", std::nullopt);
+  EXPECT_FALSE(vm.Written("t1", "node-1").has_value());
+  vm.SetWritten("t1", "node-1", vn);
+  EXPECT_EQ(vm.Unbind("t1", "node-1", "a/p"), VNodeManager::UnbindResult::kVNodeEmpty);
+  vm.Bind("t1", "node-1", "a/q");
+  EXPECT_FALSE(vm.Written("t1", "node-1").has_value());  // a new vNode
+  vm.ForgetTenant("t2");
+  vm.Bind("t2", "node-1", "a/p");
+  EXPECT_FALSE(vm.Written("t2", "node-1").has_value());
 }
 
 // ------------------------------------------------------- syncer integration
@@ -617,7 +645,7 @@ TEST(SyncerIntegrationTest, RelistSwappingUidResyncsShadow) {
 // version lags the shadow, so its arrival re-triggers the write.
 TEST(SyncerIntegrationTest, UpwardConflictSettlesWithoutTenantGet) {
   VcDeployment::Options o = FastOptions();
-  o.heartbeat_broadcast_period = Seconds(600);  // vNode heartbeats Get tenant Nodes
+  o.heartbeat_broadcast_period = Seconds(600);  // no vNode writes in the window
   VcDeployment deploy(o);
   ASSERT_TRUE(deploy.Start().ok());
   OwnPoolTenant tenant(deploy, "acme");
@@ -671,6 +699,37 @@ TEST(SyncerIntegrationTest, UpwardConflictSettlesWithoutTenantGet) {
            p->spec.node_name == shadow->spec.node_name;
   })) << "the tenant Pod never caught up with its shadow";
   EXPECT_EQ(server.stats().gets.load(), gets);
+}
+
+// Heartbeat broadcasts write each vNode by CAS on the copy the syncer last
+// wrote, so the tenant apiserver serves no Get (a Get would also build a Node
+// watch cache there that wakes on every tenant commit), and the vNode still
+// follows its super node's heartbeats.
+TEST(SyncerIntegrationTest, HeartbeatBroadcastWritesVNodesWithoutGet) {
+  VcDeployment::Options o = FastOptions();
+  o.super.kubelet_heartbeat = Millis(20);
+  o.heartbeat_broadcast_period = Millis(20);
+  VcDeployment deploy(o);
+  ASSERT_TRUE(deploy.Start().ok());
+  OwnPoolTenant tenant(deploy, "acme");
+  apiserver::APIServer& server = tenant.server();
+  ASSERT_TRUE(server.Create(BasicPod("default", "web-0")).ok());
+  std::string node;
+  ASSERT_TRUE(Eventually([&] {
+    std::optional<api::Pod> p = tenant.Find<api::Pod>("default", "web-0");
+    if (!p || p->spec.node_name.empty()) return false;
+    node = p->spec.node_name;
+    return tenant.Find<api::Node>("", node).has_value();
+  }));
+  // Three distinct heartbeats seen on the vNode: at least two broadcasts
+  // wrote it.
+  std::set<int64_t> beats;
+  EXPECT_TRUE(Eventually([&] {
+    std::optional<api::Node> vn = tenant.Find<api::Node>("", node);
+    if (vn) beats.insert(vn->status.last_heartbeat_ms);
+    return beats.size() >= 3;
+  }));
+  EXPECT_EQ(server.stats().gets.load(), 0u);
 }
 
 // Concurrency stress for the shared-executor refactor (run under tsan by
