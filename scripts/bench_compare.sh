@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Hot-path benchmark comparison: builds the current checkout (head) and, when
 # possible, its parent commit (baseline) in a temporary copy, runs the storage +
-# queue microbenches REPS times per side (default 5), alternating head and
+# queue microbenches 5 times per side, alternating head and
 # baseline runs and which of the two goes first, plus the quick
 # fig9/fig11/scale_tenants harnesses once per side, and writes
 # BENCH_storage.json with both sets of numbers side by side. Each axis reports
@@ -11,7 +11,7 @@
 # max(10%, the slowdowns' interquartile range) is listed under "regressions".
 #
 #   scripts/bench_compare.sh                 # baseline = HEAD~1
-#   BASELINE_REF=main~2 REPS=7 scripts/bench_compare.sh
+#   BASELINE_REF=main~2 scripts/bench_compare.sh
 #
 # The head's bench/ sources are copied into the baseline copy so both
 # builds run the *same* benchmark binary names and arguments
@@ -33,8 +33,7 @@ OUT="${OUT:-BENCH_storage.json}"
 # 1024 keys through a Reconciler with W workers and a no-op reconcile.
 FILTER='BM_WatchFanout|BM_ListZeroCopy|BM_ApiServerListSelective|BM_KvPut|BM_KvGet|BM_KvList|BM_FairQueueDequeue|BM_DispatchAdmit|BM_TraceRecord|BM_TimerArmCancel|BM_PodEncode|BM_PodDecode|BM_ApiServerCreate|BM_SchedulerFilter|BM_InformerDelivery|BM_ReconcilerThroughput'
 NPROC="$(nproc)"
-REPS="${REPS:-5}"
-if [ "$REPS" -lt 5 ]; then REPS=5; fi
+REPS=5
 
 build() {  # $1 = source dir
   local src="$1"

@@ -238,11 +238,12 @@ void Reconciler::ReleaseHold(uint64_t id) {
     h = std::move(it->second);
     holds_.erase(it);
   }
-  Finish(h->item, h->retry, opts_.clock->Now() - h->start);
+  // Already on a pool task (the timer's): the next item runs here.
+  Finish(h->item, h->retry, opts_.clock->Now() - h->start, /*run_next_here=*/true);
 }
 
 void Reconciler::Finish(const Item& item, std::optional<bool> retry,
-                        Duration latency) {
+                        Duration latency, bool run_next_here) {
   if (retry) {
     reconcile_lat_.Record(latency);
     reconciles_.fetch_add(1);
@@ -264,6 +265,10 @@ void Reconciler::Finish(const Item& item, std::optional<bool> retry,
   if (!stopping_.load()) next = queue_.TryGet();
   if (next) {
     l.unlock();
+    if (run_next_here) {
+      Process(*next);
+      return;
+    }
     if (exec_->Submit([this, it = *next] { Process(it); })) return;
     LOG(WARN) << opts_.name << ": executor shut down; dropped " << next->key;
     queue_.Done(*next);

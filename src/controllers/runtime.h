@@ -137,9 +137,11 @@ class Reconciler {
   bool Hold(const Item& item, bool retry, TimePoint start, Duration hold);
   void ReleaseHold(uint64_t id);
   // Records the outcome of a reconcile that ran (retry, latency), requeues
-  // per policy, releases the item and hands the slot to the next queued item;
-  // the active_ decrement is the last touch of `this`.
-  void Finish(const Item& item, std::optional<bool> retry, Duration latency);
+  // per policy, releases the item and hands the slot to the next queued item,
+  // on this thread when `run_next_here` (a hold's release) or else on a new
+  // pool task; the active_ decrement is the last touch of `this`.
+  void Finish(const Item& item, std::optional<bool> retry, Duration latency,
+              bool run_next_here = false);
   void OnDelayed(const std::string& tenant, const std::string& key,
                  TimePoint deadline);
 

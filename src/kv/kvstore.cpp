@@ -60,9 +60,13 @@ void WatchChannel::SetSignal(std::function<void()> fn) {
 }
 
 void WatchChannel::Signal() {
-  // A consumer acting on its channel from inside its own signal (Cancel) is
-  // awake already, and this thread holds signal_mu_.
-  if (signalling_.load(std::memory_order_relaxed) == std::this_thread::get_id()) return;
+  // A consumer acting on its channel from inside its own signal (Cancel):
+  // this thread holds signal_mu_ already, and signal_ stays installed until
+  // the outer invocation returns.
+  if (signalling_.load(std::memory_order_relaxed) == std::this_thread::get_id()) {
+    if (signal_) signal_();
+    return;
+  }
   std::lock_guard<std::mutex> l(signal_mu_);
   if (!signal_) return;
   signalling_.store(std::this_thread::get_id(), std::memory_order_relaxed);

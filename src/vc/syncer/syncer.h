@@ -153,6 +153,8 @@ class Syncer {
   size_t InformerCacheObjects() const;
   size_t QueuedKeyBytes() const;
   size_t DownwardQueueLen() const { return downward_->Len(); }
+  // Upward reconciles running or holding their slot for the modeled op cost.
+  int UpwardInFlight() const { return upward_->InFlight(); }
   // CPU time consumed by all syncer threads (workers, reconcilers, informers,
   // scanners) — the Fig. 10 "accumulated process CPU time" measure.
   Duration WorkerCpuTime() const { return cpu_.Total(); }

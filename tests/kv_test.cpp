@@ -326,5 +326,25 @@ TEST(KvStoreTest, OverflowSignalRunsOutsideChannelLock) {
   ch->SetSignal(nullptr);
 }
 
+// A signal raised on the signalling thread from inside the signal (here the
+// consumer cancelling its own channel) reaches the callback too, on that
+// thread, instead of deadlocking on the channel's signal mutex or vanishing.
+TEST(KvStoreTest, SignalFromInsideTheSignalIsDelivered) {
+  KvStore store;
+  std::shared_ptr<WatchChannel> ch = *store.Watch("/s/", 0, 16);
+  int calls = 0;
+  bool cancelled = false;
+  ch->SetSignal([raw = ch.get(), &calls, &cancelled] {
+    ++calls;
+    if (!cancelled) {
+      cancelled = true;
+      raw->Cancel();
+    }
+  });
+  ch->Cancel();  // outer signal; its callback cancels again from inside
+  EXPECT_EQ(calls, 2);
+  ch->SetSignal(nullptr);
+}
+
 }  // namespace
 }  // namespace vc::kv
