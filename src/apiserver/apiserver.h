@@ -733,10 +733,7 @@ Status RetryWrite(APIServer& server, const std::string& ns, const std::string& n
       return OkStatus();
     }
     Result<T> updated = Write(server, std::move(*obj), status, ctx);
-    if (updated.ok()) {
-      if (out != nullptr) *out = std::move(*updated);
-      return OkStatus();
-    }
+    if (updated.ok() && out != nullptr) *out = std::move(*updated);
     if (!updated.status().IsConflict()) return updated.status();
   }
   return AbortedError(std::string(status ? "RetryUpdateStatus" : "RetryUpdate") +

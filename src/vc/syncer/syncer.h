@@ -144,7 +144,6 @@ class Syncer {
 
   // ----------------------------------------------------------- telemetry
   SyncerMetrics& metrics() { return metrics_; }
-  VNodeManager& vnodes() { return vnodes_; }
 
   // Informer-cache accounting (Fig. 10: "one tenant object has at least two
   // copies in the syncer, one in the informer cache of the tenant control
